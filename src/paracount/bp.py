@@ -11,12 +11,14 @@ accepts with.
 Read-once certification confines each y_j's label occurrences to one band
 of consecutive layers, bands ordered by j; ``stagger`` rebuilds a program
 into that shape (inserting pass-through nodes) whenever every source-sink
-path reads y variables in nondecreasing index order, each at most once.
+path reads y variables in strictly increasing index order.  One pass in
+layer order, linear in the edges, checks that order for both ``stagger``
+and ``bp_count_fast``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import CountingError, reject_unknown_fields
@@ -36,9 +38,13 @@ class BranchingProgram:
     num_y: int
     source: int
     sink: int
+    label_map: dict[int, Label] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "label_map", dict(self.labels))
 
     def label_of(self, node: int) -> Label:
-        return dict(self.labels).get(node, ("pass",))
+        return self.label_map.get(node, ("pass",))
 
     def layer_of(self) -> dict[int, int]:
         return {v: i for i, layer in enumerate(self.layers) for v in layer}
@@ -297,49 +303,52 @@ def _relevant_nodes(p: BranchingProgram) -> set[int]:
     return forward & seen
 
 
-def _check_order_property(p: BranchingProgram) -> None:
-    """Every source-to-sink path reads y indices strictly increasingly."""
+def _check_increasing_reads(p: BranchingProgram, code: str) -> dict[int, int]:
+    """Map each node on a source-sink path to the largest y index read on
+    some source path up to and including it (0 when none).
+
+    One pass in layer order, linear in the edges.  Refuses with ``code``
+    when some source-sink path reads y indices not strictly increasingly.
+    """
     relevant = _relevant_nodes(p)
     out = p.out_edges()
-    y_nodes = [
-        (node, label[1]) for node, label in p.labels
-        if label[0] == "y" and node in relevant
-    ]
-    layer_index = p.layer_of()
-    y_nodes.sort(key=lambda item: layer_index[item[0]])
-    for node, j in y_nodes:
-        seen = set()
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            for v, _ in out.get(u, []):
-                if v in seen or v not in relevant:
-                    continue
-                seen.add(v)
-                label = p.label_of(v)
-                if label[0] == "y" and label[1] <= j:
+    before: dict[int, int] = {}
+    upto: dict[int, int] = {}
+    for layer in p.layers:
+        for u in layer:
+            if u not in relevant:
+                continue
+            read = before.get(u, 0)
+            label = p.label_of(u)
+            if label[0] == "y":
+                if label[1] <= read:
                     raise CountingError(
-                        "order-property-violated",
-                        f"y_{label[1]} is read after y_{j} on some path",
+                        code, f"y_{label[1]} is read after y_{read} on some path"
                     )
-                stack.append(v)
+                read = label[1]
+            upto[u] = read
+            for v, _ in out.get(u, []):
+                if v in relevant and before.get(v, 0) < read:
+                    before[v] = read
+    return upto
 
 
 def stagger(p: BranchingProgram) -> BranchingProgram:
     """Rebuild p into a read-once certified program with the same accepting
     counts for every input.
 
-    Requires the order property; already-certified programs come back
-    unchanged.  The rebuild keeps only nodes on source-sink paths, assigns
-    each y_j its own band of layers, and fills layer gaps with forced
-    pass-through nodes.
+    Requires the order property: every source-sink path reads y indices
+    strictly increasingly, checked by one layer-order pass linear in the
+    edges.  Already-certified programs come back unchanged.  The rebuild
+    keeps only nodes on source-sink paths, assigns each y_j its own band of
+    layers, and fills layer gaps with forced pass-through nodes.
     """
-    _check_order_property(p)
+    upto = _check_increasing_reads(p, "order-property-violated")
     if isinstance(check_read_once_certified(p), ReadOnceCertificate):
         return p
 
-    relevant = _relevant_nodes(p)
-    if p.source not in relevant or p.sink not in relevant:
+    # upto's keys are the nodes on source-sink paths, in layer order.
+    if p.source not in upto or p.sink not in upto:
         # No accepting path at all; the empty program preserves every count.
         fresh_source, fresh_sink = 0, 1
         return validate_bp(
@@ -352,44 +361,22 @@ def stagger(p: BranchingProgram) -> BranchingProgram:
             fresh_sink,
         )
 
-    out = p.out_edges()
     kept_edges = [
-        (u, v, bit) for u, v, bit in p.edges if u in relevant and v in relevant
+        (u, v, bit) for u, v, bit in p.edges if u in upto and v in upto
     ]
     preds: dict[int, list[int]] = {}
     for u, v, _ in kept_edges:
         preds.setdefault(v, []).append(u)
 
-    old_layer = p.layer_of()
-    ordered = sorted(relevant, key=lambda v: old_layer[v])
-
-    # Dead-end labels are never consulted; normalising them to pass keeps
-    # the bands free of spurious occurrences.
-    def effective_label(node: int) -> Label:
-        if not any(v in relevant for v, _ in out.get(node, [])):
-            return ("pass",)
-        return p.label_of(node)
-
     band: dict[int, int] = {}
     depth: dict[int, int] = {}
-    for node in ordered:
-        label = effective_label(node)
-        pred_bands = [band[q] for q in preds.get(node, [])]
-        inherited = max(pred_bands, default=1)
-        if label[0] == "y":
-            if label[1] < inherited:
-                raise CountingError(
-                    "order-property-violated",
-                    f"y_{label[1]} read after band {inherited}",
-                )
-            band[node] = label[1]
-        else:
-            band[node] = inherited
+    for node in upto:
+        band[node] = max(upto[node], 1)
         same = [depth[q] for q in preds.get(node, []) if band[q] == band[node]]
         depth[node] = 1 + max(same, default=0)
 
     heights = {j: 1 for j in range(1, p.num_y + 2)}
-    for node in ordered:
+    for node in upto:
         if node != p.sink:
             heights[band[node]] = max(heights[band[node]], depth[node])
     offsets = {}
@@ -400,13 +387,16 @@ def stagger(p: BranchingProgram) -> BranchingProgram:
 
     new_layer = {
         node: offsets[band[node]] + depth[node] - 1
-        for node in ordered
+        for node in upto
         if node != p.sink
     }
     new_layer[p.sink] = max(new_layer.values(), default=0) + 1
 
     next_id = max(p.nodes()) + 1
-    labels: dict[int, Label] = {node: effective_label(node) for node in ordered}
+    labels: dict[int, Label] = {node: p.label_of(node) for node in upto}
+    # The sink's label is never consulted; normalising it to pass keeps the
+    # bands free of a spurious occurrence.
+    labels[p.sink] = ("pass",)
     pass_source = next_id
     next_id += 1
     labels[pass_source] = ("pass",)
@@ -443,32 +433,12 @@ def stagger(p: BranchingProgram) -> BranchingProgram:
 # ---------------------------------------------------------------------------
 
 
-def _check_read_once_paths(p: BranchingProgram) -> None:
-    relevant = _relevant_nodes(p)
-    out = p.out_edges()
-    for node, label in p.labels:
-        if label[0] != "y" or node not in relevant:
-            continue
-        seen = set()
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            for v, _ in out.get(u, []):
-                if v in seen or v not in relevant:
-                    continue
-                seen.add(v)
-                if p.label_of(v) == label:
-                    raise CountingError(
-                        "precondition-violated",
-                        f"y_{label[1]} can be read twice on one path",
-                    )
-                stack.append(v)
-
-
 def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
     """Accepting count by per-layer propagation, no y enumeration.
 
-    Requires a read-once certificate and once-per-path reads.  The state
+    Requires a read-once certificate, determinism given inputs, and
+    strictly increasing y reads on every source-sink path; one layer-order
+    pass, linear in the edges, checks the last.  The state
     tracks the next unresolved y index; reading y_j doubles pending counts
     once per skipped bit, and bits never read by the time the sink is
     reached are freed at the end.
@@ -484,7 +454,8 @@ def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
         raise CountingError(
             "not-deterministic", "a node offers two edges for one bit value"
         )
-    _check_read_once_paths(p)
+    # Certified bands rule out decreasing reads, so this refuses exactly repeated ones.
+    _check_increasing_reads(p, "precondition-violated")
 
     out = p.out_edges()
     counts: dict[int, dict[int, int]] = {p.source: {1: 1}}

@@ -30,3 +30,10 @@ def reject_unknown_fields(obj: dict, allowed: set[str], what: str) -> None:
             "unknown-field",
             f"{what} contains unknown field(s): {', '.join(sorted(unknown))}",
         )
+
+
+def read_int(value, what: str) -> int:
+    """Return ``value`` if it is an int; refuse bools, floats and strings."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CountingError("not-an-integer", f"{what} = {value!r} is not an integer")
+    return value

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CountingError, LimitExceeded, reject_unknown_fields
+from .errors import CountingError, LimitExceeded, read_int, reject_unknown_fields
 
 #: Default cap on exhaustive enumerations (walks, covers, maps, ...).
 DEFAULT_LIMIT = 10**7
@@ -57,7 +57,10 @@ class DirectedGraph:
 
 def validate_graph(n: int, edges) -> DirectedGraph:
     """Build a DirectedGraph from raw data, rejecting malformed input."""
-    return DirectedGraph(n, tuple((int(u), int(v)) for u, v in edges))
+    return DirectedGraph(
+        read_int(n, "n"),
+        tuple((read_int(u, "endpoint"), read_int(v, "endpoint")) for u, v in edges),
+    )
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,6 @@ def enumerate_walks(
     return out
 
 
-def total_walks(g: DirectedGraph, a: int) -> int:
-    """Number of a-edge walks between any pair of endpoints."""
-    return sum(sum(row) for row in walk_count_matrix(g, a))
-
-
 # ---------------------------------------------------------------------------
 # File format: {"n": int, "edges": [[u, v], ...]} with optional "colours",
 # "s" and "t".  Unknown fields are rejected.
@@ -190,10 +188,11 @@ def graph_from_json(obj: dict, extra_fields: set[str] = frozenset()) -> dict:
     g = validate_graph(obj["n"], obj["edges"])
     parts: dict = {"graph": g}
     if "colours" in obj:
-        parts["colouring"] = VertexColouring(g, tuple(int(c) for c in obj["colours"]))
+        colours = tuple(read_int(c, "colour") for c in obj["colours"])
+        parts["colouring"] = VertexColouring(g, colours)
     for key in ("s", "t"):
         if key in obj:
-            parts[key] = int(obj[key])
+            parts[key] = read_int(obj[key], key)
     for key in extra_fields:
         if key in obj:
             parts[key] = obj[key]

@@ -11,6 +11,7 @@ from paracount.bp import (
     bp_from_json,
     bp_to_json,
     check_read_once_certified,
+    is_deterministic_given_inputs,
     is_strictly_deterministic,
     k_bounded,
     stagger,
@@ -232,10 +233,102 @@ def test_count_fast_matches_enumeration_randomly():
 
 
 def test_count_fast_requires_certificate():
-    p = branching_uncertified_program()
-    with pytest.raises(CountingError) as err:
-        bp_count_fast(p, [0])
-    assert err.value.code == "precondition-violated"
+    # The second program is certified and deterministic but reads y_1 twice.
+    read_twice = validate_bp(
+        [[0], [1], [2]],
+        {0: ("y", 1), 1: ("y", 1)},
+        [(0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1)],
+        0,
+        1,
+        0,
+        2,
+    )
+    for p, x in ((branching_uncertified_program(), [0]), (read_twice, [])):
+        with pytest.raises(CountingError) as err:
+            bp_count_fast(p, x)
+        assert err.value.code == "precondition-violated"
+
+
+def random_layered_program(rng, banded):
+    """Small program with random labels and random later-layer edges.
+
+    Labels repeat freely, so a path may read y indices out of order or
+    twice.  With ``banded`` the y index never falls from layer to layer,
+    which makes a read-once certificate likely.  Every node offers at most
+    one edge per bit value.
+    """
+    num_x, num_y = rng.randint(1, 2), rng.randint(1, 3)
+    sizes = [1] + [rng.randint(1, 3) for _ in range(rng.randint(0, 4))] + [1]
+    layers, start = [], 0
+    for size in sizes:
+        layers.append(list(range(start, start + size)))
+        start += size
+    layer_y = sorted(rng.randint(1, num_y) for _ in layers)
+    labels = {}
+    for i, layer in enumerate(layers):
+        for v in layer:
+            kind = rng.choice("yyxp")
+            if kind == "y":
+                labels[v] = ("y", layer_y[i] if banded else rng.randint(1, num_y))
+            elif kind == "x":
+                labels[v] = ("x", rng.randint(1, num_x))
+            else:
+                labels[v] = ("pass",)
+    edges = []
+    for i, layer in enumerate(layers[:-1]):
+        later = [v for nodes in layers[i + 1:] for v in nodes]
+        for u in layer:
+            bits = [None] if labels[u][0] == "pass" else [0, 1]
+            edges += [(u, rng.choice(later), bit) for bit in bits if rng.random() < 0.8]
+    return validate_bp(layers, labels, edges, num_x, num_y, 0, layers[-1][0])
+
+
+def y_reads_per_path(p):
+    """The y indices read along each source-to-sink path, by brute force."""
+    out = p.out_edges()
+
+    def walk(node, reads):
+        label = p.label_of(node)
+        if label[0] == "y":
+            reads = reads + [label[1]]
+        if node == p.sink:
+            yield reads
+        for v, _ in out.get(node, []):
+            yield from walk(v, reads)
+
+    return list(walk(p.source, []))
+
+
+def refusal_code(fn, *args):
+    try:
+        fn(*args)
+    except CountingError as err:
+        return err.code
+    return None
+
+
+def test_read_order_checks_match_path_enumeration():
+    rng = random.Random(63)
+    seen = {"stagger": set(), "fast": set()}
+    for trial in range(600):
+        p = random_layered_program(rng, banded=trial % 2 == 1)
+        paths = y_reads_per_path(p)
+        out_of_order = any(reads != sorted(set(reads)) for reads in paths)
+        code = refusal_code(stagger, p)
+        assert code == ("order-property-violated" if out_of_order else None)
+        seen["stagger"].add(code)
+        if isinstance(
+            check_read_once_certified(p), ReadOnceCertificate
+        ) and is_deterministic_given_inputs(p):
+            read_twice = any(len(reads) != len(set(reads)) for reads in paths)
+            code = refusal_code(bp_count_fast, p, [0] * p.num_x)
+            assert code == ("precondition-violated" if read_twice else None)
+            seen["fast"].add(code)
+    # Both outcomes of both checks were reached.
+    assert seen == {
+        "stagger": {None, "order-property-violated"},
+        "fast": {None, "precondition-violated"},
+    }
 
 
 def test_stagger_handles_late_variable_at_source():

@@ -282,6 +282,19 @@ def test_domain_error_surfaces_stable_name(tmp_path, capsys):
     assert code == 1 and "endpoint-out-of-range" in err
 
 
+def test_graph_numbers_must_be_integers(tmp_path, capsys):
+    for graph in (
+        {"n": 3, "edges": [[0.9, 1], [True, 2]]},
+        {"n": 3.0, "edges": [[0, 1], [1, 2]]},
+        {"n": 3, "edges": [[0, 1], [1, 2]], "s": "0", "t": 2},
+        {"n": 3, "edges": [[0, 1], [1, 2]], "colours": [1, 2.5, 3]},
+    ):
+        path = write(tmp_path, "g.json", graph)
+        code, out, err = run(capsys, "reach", "--graph", path, "--s", "0", "--t", "2",
+                             "--k", "3")
+        assert code == 1 and "not-an-integer" in err and out == ""
+
+
 def test_malformed_instance_never_panics(tmp_path, capsys):
     for payload in ('{"n": "x", "edges": 3}', '{"n": 2, "edges": "ab"}', "[]", "{"):
         path = tmp_path / "bad.json"
