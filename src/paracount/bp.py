@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import CountingError, reject_unknown_fields
+from .errors import CountingError, read_int, reject_unknown_fields
 
 Label = tuple  # ("x", i) | ("y", j) | ("pass",)
 
@@ -506,25 +506,26 @@ def bp_from_json(obj: dict) -> BranchingProgram:
     labels = {}
     for node, label in obj.get("labels", {}).items():
         if "x" in label:
-            labels[int(node)] = ("x", int(label["x"]))
+            labels[int(node)] = ("x", read_int(label["x"], "label x"))
         elif "y" in label:
-            labels[int(node)] = ("y", int(label["y"]))
+            labels[int(node)] = ("y", read_int(label["y"], "label y"))
         elif label.get("pass"):
             labels[int(node)] = ("pass",)
         else:
             raise CountingError("bad-label", f"label {label!r}")
     edges = [
-        (int(u), int(v), None if bit is None else int(bit))
+        (read_int(u, "node"), read_int(v, "node"),
+         None if bit is None else read_int(bit, "edge bit"))
         for u, v, bit in obj.get("edges", [])
     ]
     return validate_bp(
-        obj["layers"],
+        [[read_int(v, "node") for v in layer] for layer in obj["layers"]],
         labels,
         edges,
-        int(obj["numX"]),
-        int(obj["numY"]),
-        int(obj["source"]),
-        int(obj["sink"]),
+        read_int(obj["numX"], "numX"),
+        read_int(obj["numY"], "numY"),
+        read_int(obj["source"], "source"),
+        read_int(obj["sink"], "sink"),
     )
 
 

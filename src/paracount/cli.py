@@ -322,6 +322,10 @@ def main(argv=None) -> int:
     except (TypeError, ValueError, KeyError) as exc:
         print(f"error: malformed-instance: {exc!r}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: instance-too-deep: input nests too deeply to read",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CountingError, LimitExceeded
+from .errors import CountingError, LimitExceeded, read_int
 from .graphs import DEFAULT_LIMIT, DirectedGraph, check_vertex
-from .walks import ceil_log2, _check_degree_bound
+from .walks import ceil_log2, _check_degree_bound, propagate
 
 Literal = tuple[int, bool]  # (edge id, required value)
 
@@ -34,7 +34,7 @@ class EdgeCNF:
         for clause in clauses:
             lits = []
             for lit in clause:
-                lit = int(lit)
+                lit = read_int(lit, "literal")
                 if lit == 0:
                     raise CountingError("bad-literal", "literal 0 is reserved")
                 lits.append((abs(lit) - 1, lit > 0))
@@ -145,18 +145,13 @@ def count_log_reach2_cnf(
     # mentions can influence satisfaction, the rest of the characteristic
     # assignment is fixed by not being mentioned.
     relevant = cnf.variables()
-    edge_ids = {(u, v): i for i, (u, v) in enumerate(g.edges)}
-    succ = g.successors()
-    states: dict[tuple[int, frozenset[int]], int] = {(s, frozenset()): 1}
-    for _ in range(a):
-        nxt: dict[tuple[int, frozenset[int]], int] = {}
-        for (u, used), cnt in states.items():
-            for v in succ[u]:
-                eid = edge_ids[(u, v)]
-                used2 = used | {eid} if eid in relevant else used
-                key = (v, used2)
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
+    choices = _successor_choices(g)
+
+    def step(state):
+        u, used = state
+        return [(v, used | {e} if e in relevant else used) for v, e in choices[u]]
+
+    states = propagate({(s, frozenset()): 1}, a, step)
     total = 0
     for (u, used), cnt in states.items():
         if u != t:

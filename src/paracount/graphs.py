@@ -1,4 +1,4 @@
-"""Canonical digraph representation and walk-count primitives.
+"""Canonical digraph representation and the walk-count oracles.
 
 Vertices are dense 0-based integers.  Edges are an ordered list of
 ``(source, target)`` pairs; the position of a pair in that list is the
@@ -119,7 +119,9 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def walk_count_matrix(g: DirectedGraph, a: int) -> list[list[int]]:
     """Entry (u, v) counts walks from u to v with exactly ``a`` edges.
 
-    a = 0 yields the identity table.  Exact for any magnitude.
+    a = 0 yields the identity table.  Exact for any magnitude.  This dense
+    matrix power, O(a·n³), is the independent oracle that tests and the
+    benchmark references check the walk counters against; no counter calls it.
     """
     if a < 0:
         raise CountingError("negative-length", f"a = {a}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CountingError, LimitExceeded
+from .errors import CountingError, LimitExceeded, read_int
 from .graphs import DEFAULT_LIMIT
 
 
@@ -42,7 +42,7 @@ class ZeroOneMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "ZeroOneMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(read_int(x, "entry") for x in r) for r in rows)
         return cls(len(rows), rows)
 
 
@@ -393,7 +393,7 @@ def matrix_from_json(obj: dict) -> ZeroOneMatrix:
         raise CountingError("malformed-instance", "matrix file must be an object")
     reject_unknown_fields(obj, {"n", "rows"}, "matrix")
     mat = ZeroOneMatrix.from_rows(obj["rows"])
-    if mat.n != int(obj["n"]):
+    if mat.n != read_int(obj["n"], "n"):
         raise CountingError("bad-matrix-shape", "'n' disagrees with row count")
     return mat
 

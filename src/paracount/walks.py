@@ -1,4 +1,5 @@
-"""The four unconstrained walk counters, each with its output gate.
+"""The unconstrained walk counters, each with its output gate, and the one
+frontier propagation that every walk counter (here and in ``cnf``) runs.
 
 Length conventions (fixed once, used consistently by every reduction):
 
@@ -14,15 +15,10 @@ at 2 so the gate is well defined on tiny graphs.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .errors import CountingError
-from .graphs import (
-    DirectedGraph,
-    VertexColouring,
-    check_vertex,
-    max_out_degree,
-    walk_count_matrix,
-)
+from .graphs import DirectedGraph, VertexColouring, check_vertex, max_out_degree
 
 
 def ceil_log2(x: int) -> int:
@@ -33,6 +29,19 @@ def ceil_log2(x: int) -> int:
 def log_gate_passes(a: int, k: int, size_term: int) -> bool:
     """The `length budget` gate shared by the Log-variants."""
     return a <= k * ceil_log2(size_term)
+
+
+def propagate(start: dict, steps: int, step: Callable) -> dict:
+    """Map each state to the number of ``steps``-move paths from the ``start``
+    counts that end in it; ``step(state)`` lists the next states."""
+    counts = start
+    for _ in range(steps):
+        nxt: dict = {}
+        for u, c in counts.items():
+            for v in step(u):
+                nxt[v] = nxt.get(v, 0) + c
+        counts = nxt
+    return counts
 
 
 def _check_degree_bound(g: DirectedGraph, b: int) -> None:
@@ -53,7 +62,7 @@ def count_reach(g: DirectedGraph, s: int, t: int, k: int) -> int:
         raise CountingError("negative-length", f"k = {k}")
     if k == 0:
         return 0
-    return walk_count_matrix(g, k - 1)[s][t]
+    return propagate({s: 1}, k - 1, g.successors().__getitem__).get(t, 0)
 
 
 def count_log_reach_b(
@@ -67,7 +76,7 @@ def count_log_reach_b(
         raise CountingError("negative-length", f"a = {a}")
     if not log_gate_passes(a, k, g.n):
         return 0
-    return walk_count_matrix(g, a)[s][t]
+    return propagate({s: 1}, a, g.successors().__getitem__).get(t, 0)
 
 
 def count_log_walk_b(g: DirectedGraph, a: int, k: int, b: int) -> int:
@@ -77,7 +86,8 @@ def count_log_walk_b(g: DirectedGraph, a: int, k: int, b: int) -> int:
         raise CountingError("negative-length", f"a = {a}")
     if not log_gate_passes(a, k, g.n):
         return 0
-    return sum(sum(row) for row in walk_count_matrix(g, a))
+    start = dict.fromkeys(range(g.n), 1)
+    return sum(propagate(start, a, g.successors().__getitem__).values())
 
 
 def count_reach_colour(vc: VertexColouring, s: int, t: int, k: int) -> int:
@@ -99,14 +109,10 @@ def count_reach_colour(vc: VertexColouring, s: int, t: int, k: int) -> int:
         raise CountingError("negative-length", f"k = {k}")
     if vc.m != k:
         return 0
-    # DP over positions; position i (1-based) lives on colour class i.
-    counts = {s: 1}
+    # colour(s) = 1, so position i (1-based) lives on colour class i.
     succ = g.successors()
-    for position in range(2, k + 1):
-        nxt: dict[int, int] = {}
-        for u, c in counts.items():
-            for v in succ[u]:
-                if vc.colour_of(v) == position:
-                    nxt[v] = nxt.get(v, 0) + c
-        counts = nxt
-    return counts.get(t, 0)
+
+    def step(u: int) -> list[int]:
+        return [v for v in succ[u] if vc.colour_of(v) == vc.colour_of(u) + 1]
+
+    return propagate({s: 1}, k - 1, step).get(t, 0)

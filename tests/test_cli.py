@@ -295,6 +295,51 @@ def test_graph_numbers_must_be_integers(tmp_path, capsys):
         assert code == 1 and "not-an-integer" in err and out == ""
 
 
+def test_program_matrix_and_clause_numbers_must_be_integers(tmp_path, capsys):
+    program = {
+        "layers": [[0], [1]],
+        "labels": {"0": {"y": 1}},
+        "edges": [[0, 1, 0], [0, 1, 1]],
+        "numX": 0, "numY": 1, "source": 0, "sink": 1,
+    }
+    matrix = {"n": 2, "rows": [[1, 1], [1, 1]]}
+    cases = [
+        ("bp", {**program, "numY": 2.7}),
+        ("bp", {**program, "labels": {"0": {"y": True}}}),
+        ("pdet", {**matrix, "n": 2.9}),
+        ("pdet", {**matrix, "rows": [[1, 0.9], [1, 1]]}),
+        ("reach2cnf", {**DIAMOND, "clauses": [[1.5]]}),
+    ]
+    for command, obj in cases:
+        path = write(tmp_path, "in.json", obj)
+        argv = {
+            "bp": ("--program", path, "--x", ""),
+            "pdet": ("--matrix", path, "--k", "2"),
+            "reach2cnf": ("--graph", path, "--a", "2", "--k", "1"),
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and "not-an-integer" in err and out == ""
+
+
+def test_deeply_nested_file_is_domain_error(tmp_path, capsys):
+    depth = 1500
+    formula = tmp_path / "deep.json"
+    formula.write_text(
+        '{"op": "not", "args": [' * depth
+        + '{"atom": "P", "args": [{"var": "x"}]}'
+        + "]}" * depth
+    )
+    structure = write(
+        tmp_path, "s.json",
+        {"vocabulary": {"relations": [["P", 1]]}, "universeSize": 2,
+         "interpretation": {"P": [[0]]}},
+    )
+    code, out, err = run(capsys, "mc", "--formula", str(formula), "--structure",
+                         structure, "--k", str(depth + 1))
+    assert code == 1 and "instance-too-deep" in err and out == ""
+    assert "Traceback" not in err
+
+
 def test_malformed_instance_never_panics(tmp_path, capsys):
     for payload in ('{"n": "x", "edges": 3}', '{"n": 2, "edges": "ab"}', "[]", "{"):
         path = tmp_path / "bad.json"

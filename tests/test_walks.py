@@ -3,7 +3,13 @@ import random
 import pytest
 
 from paracount.errors import CountingError
-from paracount.graphs import DirectedGraph, VertexColouring, enumerate_walks, validate_graph
+from paracount.graphs import (
+    DirectedGraph,
+    VertexColouring,
+    enumerate_walks,
+    validate_graph,
+    walk_count_matrix,
+)
 from paracount.walks import (
     ceil_log2,
     count_log_reach_b,
@@ -11,11 +17,17 @@ from paracount.walks import (
     count_reach,
     count_reach_colour,
     log_gate_passes,
-    walk_count_matrix,
 )
 
 DIAMOND = validate_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 PATH3 = validate_graph(3, [(0, 1), (1, 2)])
+
+
+def dense_graph(rng, n):
+    """A random digraph on n vertices keeping about 3 in 4 of all n*n arcs."""
+    return DirectedGraph(
+        n, tuple((u, v) for u in range(n) for v in range(n) if rng.random() < 0.75)
+    )
 
 
 def rand_graph(rng, max_n=6, max_out=None):
@@ -102,6 +114,13 @@ def test_count_log_reach_b_matches_matrix_power():
         assert count_log_reach_b(g, s, t, 5, 3, 2) == (
             walk_count_matrix(g, 5)[s][t] if log_gate_passes(5, 3, g.n) else 0
         )
+    # Counts far above 2**64 pin bigint exactness against the matrix oracle.
+    for a in (40, 57):
+        g = dense_graph(rng, 8)
+        s, t = rng.randrange(g.n), rng.randrange(g.n)
+        expected = walk_count_matrix(g, a)[s][t]
+        assert expected > 2**64
+        assert count_log_reach_b(g, s, t, a, 20, g.n) == expected
 
 
 def test_count_log_walk_b_examples():
@@ -119,6 +138,11 @@ def test_count_log_walk_b_matches_matrix_sum():
             else 0
         )
         assert count_log_walk_b(g, 4, 2, 2) == expected
+    for a in (40, 57):
+        g = dense_graph(rng, 8)
+        expected = sum(map(sum, walk_count_matrix(g, a)))
+        assert expected > 2**64
+        assert count_log_walk_b(g, a, 20, g.n) == expected
 
 
 def test_logwalk_is_sum_of_logreach():
