@@ -9,9 +9,8 @@ with an independent brute-force oracle and connected by count-preserving
 instance transforms.
 """
 
-from .errors import CountingError, LimitExceeded
+from .errors import DEFAULT_LIMIT, CountingError, LimitExceeded
 from .graphs import (
-    DEFAULT_LIMIT,
     DirectedGraph,
     VertexColouring,
     enumerate_walks,

@@ -21,12 +21,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import CountingError, read_int, reject_unknown_fields
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
 
 Label = tuple  # ("x", i) | ("y", j) | ("pass",)
-
-#: Exhaustive y-enumeration refuses beyond this width.
-MAX_Y_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -206,19 +203,20 @@ def bp_accepts(p: BranchingProgram, x: Sequence[int], y: Sequence[int]) -> bool:
     return p.sink in reachable
 
 
-def bp_count_acc(p: BranchingProgram, x: Sequence[int]) -> int:
+def bp_count_acc(
+    p: BranchingProgram, x: Sequence[int], limit: int = DEFAULT_LIMIT
+) -> int:
     """Number of y assignments accepted for the ordinary input x.
 
     Exhaustive over {0,1}^numY; this is the oracle the band-propagation
     counter is checked against.  Unread y bits are free, so they double the
-    count per bit.
+    count per bit.  Raises LimitExceeded when 2^numY exceeds ``limit``.
     """
     if not is_deterministic_given_inputs(p):
         raise CountingError(
             "not-deterministic", "a node offers two edges for one bit value"
         )
-    if p.num_y > MAX_Y_BITS:
-        raise CountingError("too-many-y-bits", f"numY = {p.num_y} beyond desk scale")
+    check_limit(2 ** p.num_y, limit, f"y assignments (2^{p.num_y})")
     count = 0
     for mask in range(2 ** p.num_y):
         y = [(mask >> j) & 1 for j in range(p.num_y)]

@@ -22,9 +22,8 @@ from . import homs as homm
 from . import pdet as pdm
 from . import reductions as redm
 from . import walks as wkm
-from .errors import CountingError
-from .graphs import DEFAULT_LIMIT, graph_from_json, graph_to_json
-from .selftest import run_selftest
+from .errors import DEFAULT_LIMIT, CountingError, read_int
+from .graphs import graph_from_json, graph_to_json
 
 
 def _load_json(path: str) -> dict:
@@ -56,12 +55,12 @@ def _report(value: int, gate_applied: bool, started: float, payload, key="count"
     )
 
 
-def _endpoints(parts: dict, args, need_t=True) -> tuple[int, int]:
+def _endpoints(parts: dict, args) -> tuple[int, int]:
     s = args.s if args.s is not None else parts.get("s")
     t = args.t if args.t is not None else parts.get("t")
-    if s is None or (need_t and t is None):
+    if s is None or t is None:
         raise CountingError("missing-endpoint", "supply --s/--t or file fields")
-    return int(s), int(t if t is not None else 0)
+    return s, t
 
 
 def _load_cnf(parts: dict, args) -> cnfm.EdgeCNF:
@@ -92,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=int(os.environ.get("PARACOUNT_LIMIT", DEFAULT_LIMIT)),
-        help="cap on exhaustive enumeration states",
+        help="cap on the candidates of every exhaustive route (env PARACOUNT_LIMIT)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -159,6 +158,8 @@ def _run(args) -> int:
     started = time.monotonic()
 
     if args.command == "selftest":
+        from .selftest import run_selftest
+
         results = run_selftest(args.seed, args.scale)
         ok = True
         for name, passed, failures in results:
@@ -172,22 +173,26 @@ def _run(args) -> int:
     if args.command == "reduce":
         obj = _load_json(args.infile)
         name = args.name
+
+        def num(key: str) -> int:
+            return read_int(obj[key], key)
+
         if name == "hom-to-reach":
             target = fom.structure_from_json(obj["target"])
-            graph, s, t, kp = redm.reduce_hom_to_reach(int(obj["n"]), target, int(obj["k"]))
+            graph, s, t, kp = redm.reduce_hom_to_reach(num("n"), target, num("k"))
             out = graph_to_json(graph, s=s, t=t)
             sidecar = {"name": name, "kPrime": kp}
         elif name == "reachcolour-to-hom":
             parts = graph_from_json(obj["graph"])
             pattern, target, kp = redm.reduce_reach_colour_to_hom(
-                parts["colouring"], int(obj["s"]), int(obj["t"]), int(obj["k"])
+                parts["colouring"], num("s"), num("t"), num("k")
             )
             out = fom.structure_to_json(target)
             sidecar = {"name": name, "kPrime": kp, "patternN": pattern.n}
         elif name == "reach-to-mc":
             parts = graph_from_json(obj["graph"])
             phi, structure, kp = redm.reduce_reach_to_mc(
-                parts["graph"], int(obj["s"]), int(obj["t"]), int(obj["k"])
+                parts["graph"], num("s"), num("t"), num("k")
             )
             out = {
                 "formula": fom.formula_node_to_json(phi.root),
@@ -197,7 +202,7 @@ def _run(args) -> int:
         else:  # reach-to-pdet
             parts = graph_from_json(obj["graph"])
             matrix, kp, sign = redm.reduce_reach_to_pdet(
-                parts["graph"], int(obj["s"]), int(obj["t"]), int(obj["k"])
+                parts["graph"], num("s"), num("t"), num("k")
             )
             out = pdm.matrix_to_json(matrix)
             sidecar = {"name": name, "kPrime": kp, "recoverySign": sign}
@@ -246,7 +251,7 @@ def _run(args) -> int:
         else:  # cyclecover2cnf
             phi = _load_cnf(parts, args)
             gate = not cnfm.cyclecover_gate_passes(g, phi, args.a)
-            count = cnfm.count_cycle_cover2_cnf(g, phi, args.a, args.k)
+            count = cnfm.count_cycle_cover2_cnf(g, phi, args.a, args.k, args.limit)
             _report(count, gate, started,
                     {**payload, "a": args.a, "cnf": phi.to_dimacs_literals()})
         return 0
@@ -259,7 +264,7 @@ def _run(args) -> int:
             arity = args.arity if args.arity is not None else fom.max_arity(phi)
             count = fom.count_mc_local(phi, structure, args.k, r, arity)
         else:
-            count = fom.count_mc(phi, structure, args.k)
+            count = fom.count_mc(phi, structure, args.k, args.limit)
         payload = {"formula": fom.formula_node_to_json(phi.root),
                    "structure": fom.structure_to_json(structure), "k": args.k}
         _report(count, args.k != phi.size, started, payload)
@@ -286,7 +291,7 @@ def _run(args) -> int:
         if args.method == "clow":
             value = pdm.pdet_clow(matrix, args.k, args.limit)
         else:
-            value = pdm.pdet_direct(matrix, args.k)
+            value = pdm.pdet_direct(matrix, args.k, args.limit)
         payload = {"matrix": pdm.matrix_to_json(matrix), "k": args.k,
                    "method": args.method}
         _report(value, False, started, payload, key="value")
@@ -302,7 +307,7 @@ def _run(args) -> int:
         elif args.method == "fast":
             _report(bpm.bp_count_fast(program, x), False, started, payload)
         else:
-            _report(bpm.bp_count_acc(program, x), False, started, payload)
+            _report(bpm.bp_count_acc(program, x, args.limit), False, started, payload)
         return 0
 
     raise CountingError("unknown-command", args.command)
@@ -319,7 +324,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io-error: {exc}", file=sys.stderr)
         return 1
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
         print(f"error: malformed-instance: {exc!r}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CountingError, LimitExceeded, read_int
-from .graphs import DEFAULT_LIMIT, DirectedGraph, check_vertex
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int
+from .graphs import DirectedGraph, check_vertex, cycles_of
 from .walks import ceil_log2, _check_degree_bound, propagate
 
 Literal = tuple[int, bool]  # (edge id, required value)
@@ -175,14 +175,17 @@ def _successor_choices(g: DirectedGraph) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _cover_search(g: DirectedGraph, visit) -> None:
-    """Enumerate successor permutations (cycle covers); call visit(successor map)."""
+def _cover_search(g: DirectedGraph, visit, limit: int) -> None:
+    """Call visit(successor map) on each cycle cover, charged against ``limit``."""
     choices = _successor_choices(g)
     succ = [-1] * g.n
     used = [False] * g.n
+    reached = [0]
 
     def rec(v: int) -> None:
         if v == g.n:
+            reached[0] += 1
+            check_limit(reached[0], limit, "cycle covers")
             visit(succ)
             return
         for target, eid in choices[v]:
@@ -198,24 +201,7 @@ def _cover_search(g: DirectedGraph, visit) -> None:
 
 def cover_cycles(g: DirectedGraph, edge_ids: Iterable[int]) -> list[list[int]]:
     """Decompose a cycle cover (as edge ids) into vertex cycles."""
-    succ = {}
-    for eid in edge_ids:
-        u, v = g.edges[eid]
-        succ[u] = v
-    cycles = []
-    seen = set()
-    for start in range(g.n):
-        if start in seen:
-            continue
-        cyc = []
-        v = start
-        while v not in seen:
-            seen.add(v)
-            cyc.append(v)
-            v = succ[v]
-        if cyc:
-            cycles.append(cyc)
-    return cycles
+    return cycles_of(dict(g.edges[eid] for eid in edge_ids))
 
 
 def enumerate_cycle_covers(
@@ -225,16 +211,8 @@ def enumerate_cycle_covers(
 
     This is the brute-force oracle behind the constrained cycle-cover counter.
     """
-    if limit <= 0:
-        raise CountingError("bad-limit", f"limit = {limit}")
     covers: list[tuple[int, ...]] = []
-
-    def visit(succ: list[int]) -> None:
-        if len(covers) >= limit:
-            raise LimitExceeded(f"more than {limit} cycle covers")
-        covers.append(tuple(sorted(succ)))
-
-    _cover_search(g, visit)
+    _cover_search(g, lambda succ: covers.append(tuple(sorted(succ))), limit)
     covers.sort()
     return covers
 
@@ -244,12 +222,15 @@ def cyclecover_gate_passes(g: DirectedGraph, cnf: EdgeCNF, a: int) -> bool:
     return a <= ceil_log2(size_g + cnf.size())
 
 
-def count_cycle_cover2_cnf(g: DirectedGraph, cnf: EdgeCNF, a: int, k: int) -> int:
+def count_cycle_cover2_cnf(
+    g: DirectedGraph, cnf: EdgeCNF, a: int, k: int, limit: int = DEFAULT_LIMIT
+) -> int:
     """Cycle covers with <= k non-self-loop cycles, exactly k*a vertices on
     non-self-loop cycles, and characteristic assignment satisfying the CNF.
 
     Returns 0 when a > ceil(log2(|g| + |phi|)) with |g| = n + |edges|.
-    Requires out-degree <= 2.
+    Requires out-degree <= 2.  Streams the covers without storing them, and
+    raises LimitExceeded once more than ``limit`` covers are reached.
     """
     _check_degree_bound(g, 2)
     validate_cnf_for_graph(cnf, g)
@@ -273,5 +254,5 @@ def count_cycle_cover2_cnf(g: DirectedGraph, cnf: EdgeCNF, a: int, k: int) -> in
         if eval_cnf(cnf, assignment):
             hits[0] += 1
 
-    _cover_search(g, visit)
+    _cover_search(g, visit, limit)
     return hits[0]

@@ -6,6 +6,9 @@ on it.  Codes are lowercase, dash-separated, e.g. ``"duplicate-edge"``.
 """
 from __future__ import annotations
 
+#: Default cap on exhaustive enumerations (walks, covers, maps, ...).
+DEFAULT_LIMIT = 10**7
+
 
 class CountingError(Exception):
     """A domain error (bad instance, violated precondition, ...)."""
@@ -21,6 +24,16 @@ class LimitExceeded(CountingError):
 
     def __init__(self, message: str):
         super().__init__("limit-exceeded", message)
+
+
+def check_limit(count: int, limit: int, what: str) -> None:
+    """Refuse an exhaustive route once ``count`` candidates pass ``limit``.
+
+    Enumerators charge each item as they emit it; up-front routes charge the
+    size of their whole candidate space before they loop.
+    """
+    if count > limit:
+        raise LimitExceeded(f"more than {limit} {what}")
 
 
 def reject_unknown_fields(obj: dict, allowed: set[str], what: str) -> None:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import CountingError, reject_unknown_fields
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ class RelationalStructure:
         for name, arity in vocab.relations:
             tuples = set()
             for tup in interpretation.get(name, ()):
-                tup = tuple(int(x) for x in tup)
+                tup = tuple(read_int(x, "element") for x in tup)
                 if len(tup) != arity:
                     raise CountingError(
                         "bad-arity",
@@ -92,12 +92,12 @@ class RelationalStructure:
                 raise CountingError(
                     "symbol-not-interpreted", f"constant {name} has no value"
                 )
-            value = int(constant_values[name])
+            value = read_int(constant_values[name], f"constant {name}")
             if not (0 <= value < universe_size):
                 raise CountingError(
                     "element-out-of-range", f"constant {name} = {value}"
                 )
-        self.constant_values = {k: int(v) for k, v in constant_values.items()}
+        self.constant_values = constant_values
 
     def __eq__(self, other):
         return (
@@ -285,15 +285,20 @@ def evaluate(
     return eval_atom(node, assignment, structure)
 
 
-def count_mc(phi: QFFormula, structure: RelationalStructure, k: int) -> int:
+def count_mc(
+    phi: QFFormula, structure: RelationalStructure, k: int, limit: int = DEFAULT_LIMIT
+) -> int:
     """|phi(A)| if k equals the formula size, 0 otherwise.
 
     Brute-force over all tuples of universe elements for the free variables;
-    this is the oracle-grade reference implementation.
+    this is the oracle-grade reference implementation.  Raises LimitExceeded
+    when those |A|^|free variables| tuples exceed ``limit``.
     """
     if k != phi.size:
         return 0
     names = phi.free_variables
+    check_limit(structure.universe_size ** len(names), limit,
+                f"candidate assignments ({structure.universe_size}^{len(names)})")
     total = 0
     for values in itertools.product(range(structure.universe_size), repeat=len(names)):
         if evaluate(phi.root, dict(zip(names, values)), structure):
@@ -486,18 +491,19 @@ def structure_from_json(obj: dict) -> RelationalStructure:
     reject_unknown_fields(obj, STRUCTURE_FIELDS, "structure")
     voc = obj.get("vocabulary", {})
     reject_unknown_fields(voc, {"relations", "constants"}, "vocabulary")
+    relations = voc.get("relations", [])
     vocab = Vocabulary(
-        tuple((str(name), int(arity)) for name, arity in voc.get("relations", [])),
+        tuple((str(name), read_int(arity, "arity")) for name, arity in relations),
         tuple(str(c) for c in voc.get("constants", [])),
     )
     return RelationalStructure(
         vocab,
-        int(obj["universeSize"]),
+        read_int(obj["universeSize"], "universeSize"),
         {
             str(name): [tuple(t) for t in tuples]
             for name, tuples in obj.get("interpretation", {}).items()
         },
-        {str(k): int(v) for k, v in obj.get("constantValues", {}).items()},
+        {str(k): v for k, v in obj.get("constantValues", {}).items()},
     )
 
 

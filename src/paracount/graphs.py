@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CountingError, LimitExceeded, read_int, reject_unknown_fields
-
-#: Default cap on exhaustive enumerations (walks, covers, maps, ...).
-DEFAULT_LIMIT = 10**7
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
 
 
 @dataclass(frozen=True)
@@ -133,6 +130,26 @@ def walk_count_matrix(g: DirectedGraph, a: int) -> list[list[int]]:
     return result
 
 
+def cycles_of(succ: dict[int, int]) -> list[list[int]]:
+    """Decompose a permutation, given as a successor map, into its cycles.
+
+    Each cycle starts at its smallest vertex; cycles come in that order.
+    """
+    seen: set[int] = set()
+    cycles = []
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        cyc = []
+        v = start
+        while v not in seen:
+            seen.add(v)
+            cyc.append(v)
+            v = succ[v]
+        cycles.append(cyc)
+    return cycles
+
+
 def enumerate_walks(
     g: DirectedGraph, s: int, t: int, a: int, limit: int = DEFAULT_LIMIT
 ) -> list[tuple[int, ...]]:
@@ -143,8 +160,6 @@ def enumerate_walks(
     """
     if a < 0:
         raise CountingError("negative-length", f"a = {a}")
-    if limit <= 0:
-        raise CountingError("bad-limit", f"limit = {limit}")
     check_vertex(g, s, "s")
     check_vertex(g, t, "t")
     succ = g.successors()
@@ -153,10 +168,7 @@ def enumerate_walks(
     def rec(prefix: list[int], remaining: int) -> None:
         if remaining == 0:
             if prefix[-1] == t:
-                if len(out) >= limit:
-                    raise LimitExceeded(
-                        f"more than {limit} walks of length {a} from {s} to {t}"
-                    )
+                check_limit(len(out) + 1, limit, f"walks of length {a} from {s} to {t}")
                 out.append(tuple(prefix))
             return
         for v in succ[prefix[-1]]:

@@ -17,9 +17,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import CountingError, LimitExceeded
+from .errors import DEFAULT_LIMIT, CountingError, check_limit
 from .fo import RelationalStructure, Vocabulary
-from .graphs import DEFAULT_LIMIT, DirectedGraph
+from .graphs import DirectedGraph
 from .walks import count_reach
 
 
@@ -83,10 +83,8 @@ def enumerate_homs(
 ) -> list[tuple[int, ...]]:
     """All homomorphisms a -> b as image tuples, by exhaustive map enumeration."""
     _check_same_vocabulary(a, b)
-    if b.universe_size ** a.universe_size > limit:
-        raise LimitExceeded(
-            f"{b.universe_size}^{a.universe_size} candidate maps exceed {limit}"
-        )
+    check_limit(b.universe_size ** a.universe_size, limit,
+                f"candidate maps ({b.universe_size}^{a.universe_size})")
     out = []
     for images in itertools.product(range(b.universe_size), repeat=a.universe_size):
         if is_homomorphism(dict(enumerate(images)), a, b):

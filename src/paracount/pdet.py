@@ -21,10 +21,11 @@ routes agree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import CountingError, LimitExceeded, read_int
-from .graphs import DEFAULT_LIMIT
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int
+from .graphs import cycles_of
 
 
 @dataclass(frozen=True)
@@ -46,30 +47,16 @@ class ZeroOneMatrix:
         return cls(len(rows), rows)
 
 
-def _cycles_of(mapping: dict[int, int]) -> list[list[int]]:
-    seen: set[int] = set()
-    cycles = []
-    for start in sorted(mapping):
-        if start in seen:
-            continue
-        cyc = []
-        v = start
-        while v not in seen:
-            seen.add(v)
-            cyc.append(v)
-            v = mapping[v]
-        cycles.append(cyc)
-    return cycles
-
-
-def pdet_direct(a: ZeroOneMatrix, k: int) -> int:
+def pdet_direct(a: ZeroOneMatrix, k: int, limit: int = DEFAULT_LIMIT) -> int:
     """Direct definition: sum over permutations moving exactly k points.
 
     sign(pi) = (-1)^(k + r) with r the number of nontrivial cycles, which is
-    the ordinary permutation sign of pi viewed on all n points.
+    the ordinary permutation sign of pi viewed on all n points.  Raises
+    LimitExceeded when its n!/(n-k)! candidates exceed ``limit``.
     """
     if not (0 <= k <= a.n):
         raise CountingError("k-out-of-range", f"k = {k}, n = {a.n}")
+    check_limit(math.perm(a.n, k), limit, f"candidate permutations ({a.n}!/{a.n - k}!)")
     if k == 0:
         return 1
     if k == 1:
@@ -86,7 +73,7 @@ def pdet_direct(a: ZeroOneMatrix, k: int) -> int:
                     break
             if not weight:
                 continue
-            r = len(_cycles_of(dict(zip(support, images))))
+            r = len(cycles_of(dict(zip(support, images))))
             total += -1 if (k + r) % 2 else 1
     return total
 
@@ -207,17 +194,12 @@ def enumerate_k_clow_sequences(
     """
     if k < 0:
         raise CountingError("k-out-of-range", f"k = {k}")
-    if limit <= 0:
-        raise CountingError("bad-limit", f"limit = {limit}")
-    if k == 0:
-        return [ClowSequence((), a.n)]
     out: list[ClowSequence] = []
     rows = a.rows
     n = a.n
 
     def emit(finished: list[tuple[int, ...]]) -> None:
-        if len(out) >= limit:
-            raise LimitExceeded(f"more than {limit} {k}-clow sequences")
+        check_limit(len(out) + 1, limit, f"{k}-clow sequences")
         out.append(ClowSequence(tuple(Clow(b) for b in finished), n))
 
     def step(head: int, cur: int, body: list[int], used: int, finished) -> None:
@@ -242,7 +224,9 @@ def enumerate_k_clow_sequences(
                     step(new_head, new_head, [new_head], used + 1, finished)
             finished.pop()
 
-    if k >= 2:
+    if k == 0:
+        emit([])
+    elif k >= 2:
         for head in range(n):
             step(head, head, [head], 0, [])
     return out

@@ -17,7 +17,7 @@ from paracount.bp import (
     stagger,
     validate_bp,
 )
-from paracount.errors import CountingError
+from paracount.errors import CountingError, LimitExceeded
 from paracount.selftest import rand_ordered_bp
 
 
@@ -85,6 +85,13 @@ def test_count_acc_examples():
     # an unread y bit doubles the count
     assert bp_count_acc(y_root(both_edges=True, num_y=2), []) == 4
     assert bp_count_acc(y_root(both_edges=False, num_y=2), []) == 2
+    # the 2^numY assignments are charged against the limit up front
+    p = y_root(both_edges=True, num_y=2)
+    assert bp_count_acc(p, [], limit=2**p.num_y) == 4
+    with pytest.raises(LimitExceeded):
+        bp_count_acc(p, [], limit=2**p.num_y - 1)
+    with pytest.raises(LimitExceeded):  # 2^24 is above the default cap
+        bp_count_acc(y_root(num_y=24), [])
 
 
 def test_count_acc_rejects_nondeterministic_program():

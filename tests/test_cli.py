@@ -303,12 +303,32 @@ def test_program_matrix_and_clause_numbers_must_be_integers(tmp_path, capsys):
         "numX": 0, "numY": 1, "source": 0, "sink": 1,
     }
     matrix = {"n": 2, "rows": [[1, 1], [1, 1]]}
+    colours = {"C_1": [[0]], "C_2": [[1]]}
+    target = {
+        "vocabulary": {"relations": [["E", 2], ["C_1", 1], ["C_2", 1]]},
+        "universeSize": 2,
+        "interpretation": {"E": [[0, 1], [1, 0]], **colours},
+    }
+    structure = {
+        "vocabulary": {"relations": [["E", 2]], "constants": ["c"]},
+        "universeSize": 2,
+        "interpretation": {"E": [[0, 1]]},
+        "constantValues": {"c": 0},
+    }
+    formula = write(tmp_path, "phi.json", {"eq": [{"var": "x"}, {"const": "c"}]})
     cases = [
         ("bp", {**program, "numY": 2.7}),
         ("bp", {**program, "labels": {"0": {"y": True}}}),
         ("pdet", {**matrix, "n": 2.9}),
         ("pdet", {**matrix, "rows": [[1, 0.9], [1, 1]]}),
         ("reach2cnf", {**DIAMOND, "clauses": [[1.5]]}),
+        ("hom", {**target, "universeSize": 2.7}),
+        ("hom", {**target, "interpretation": {**colours, "E": [[0, 1.9], [1, 0]]}}),
+        ("hom", {**target, "interpretation": {**colours, "C_2": [[True]]}}),
+        ("hom", {**target, "vocabulary": {"relations": [["E", 2.0], ["C_1", 1], ["C_2", 1]]}}),
+        ("mc", {**structure, "constantValues": {"c": 0.5}}),
+        ("reduce", {"graph": DIAMOND, "s": 0.5, "t": 3, "k": 3}),
+        ("reduce", {"graph": DIAMOND, "s": 0, "t": 3, "k": 3.9}),
     ]
     for command, obj in cases:
         path = write(tmp_path, "in.json", obj)
@@ -316,6 +336,10 @@ def test_program_matrix_and_clause_numbers_must_be_integers(tmp_path, capsys):
             "bp": ("--program", path, "--x", ""),
             "pdet": ("--matrix", path, "--k", "2"),
             "reach2cnf": ("--graph", path, "--a", "2", "--k", "1"),
+            "hom": ("--n", "2", "--target", path, "--k", "2"),
+            "mc": ("--formula", formula, "--structure", path, "--k", "1"),
+            "reduce": ("--name", "reach-to-pdet", "--in", path,
+                       "--out", str(tmp_path / "out.json")),
         }[command]
         code, out, err = run(capsys, command, *argv)
         assert code == 1 and "not-an-integer" in err and out == ""
@@ -347,6 +371,19 @@ def test_malformed_instance_never_panics(tmp_path, capsys):
         code, _, err = run(capsys, "reach", "--graph", str(path), "--k", "2")
         assert code == 1
         assert "error:" in err
+        assert "Traceback" not in err
+    program = write(tmp_path, "bp.json", {
+        "layers": [[0], [1]], "labels": {"0": [1]}, "edges": [[0, 1, 0], [0, 1, 1]],
+        "numX": 0, "numY": 1, "source": 0, "sink": 1,
+    })
+    structure = write(tmp_path, "b.json", {"vocabulary": [], "universeSize": 2})
+    for argv in (
+        ("bp", "--program", program, "--x", ""),
+        ("hom", "--n", "2", "--target", structure, "--k", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "malformed-instance" in err and out == ""
+        assert "Traceback" not in err
 
 
 def test_limit_flag_and_env_guard_enumeration(tmp_path, capsys, monkeypatch):
@@ -371,3 +408,29 @@ def test_limit_flag_and_env_guard_enumeration(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PARACOUNT_LIMIT")
     code, out, _ = run(capsys, "hom", "--n", "3", "--target", path, "--k", "3", "--oracle")
     assert code == 0 and json.loads(out)["count"] == "0"
+    # --limit reaches every exhaustive route; each still counts at the default.
+    matrix = write(tmp_path, "ones2.json", {"n": 2, "rows": [[1, 1], [1, 1]]})
+    formula = write(tmp_path, "phi.json", {"op": "and", "args": [
+        {"atom": "E", "args": [{"var": "x1"}, {"var": "x2"}]},
+        {"atom": "E", "args": [{"var": "x2"}, {"var": "x3"}]},
+    ]})
+    structure = write(tmp_path, "A.json", {
+        "vocabulary": {"relations": [["E", 2]], "constants": []},
+        "universeSize": 3,
+        "interpretation": {"E": [[0, 1], [1, 2], [0, 2]]},
+    })
+    graph = write(tmp_path, "cc.json", {"n": 2, "edges": [[0, 0], [1, 1], [0, 1], [1, 0]]})
+    program = write(tmp_path, "bp.json", {
+        "layers": [[0], [1]], "labels": {"0": {"y": 1}}, "edges": [[0, 1, 0], [0, 1, 1]],
+        "numX": 0, "numY": 1, "source": 0, "sink": 1,
+    })
+    for argv, key, expected in (
+        (("pdet", "--matrix", matrix, "--k", "2", "--method", "direct"), "value", "-1"),
+        (("mc", "--formula", formula, "--structure", structure, "--k", "3"), "count", "1"),
+        (("cyclecover2cnf", "--graph", graph, "--a", "2", "--k", "1"), "count", "1"),
+        (("bp", "--program", program, "--x", ""), "count", "2"),
+    ):
+        code, out, err = run(capsys, "--limit", "1", *argv)
+        assert code == 1 and "limit-exceeded" in err and out == "", argv
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)[key] == expected, argv

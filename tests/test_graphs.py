@@ -132,6 +132,12 @@ def test_enumerate_walks_limit():
     g = validate_graph(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     with pytest.raises(LimitExceeded):
         enumerate_walks(g, 0, 0, 10, limit=5)
+    # exactly `limit` walks pass; a cap below 1 admits none
+    assert len(enumerate_walks(g, 0, 0, 3, limit=4)) == 4
+    with pytest.raises(LimitExceeded):
+        enumerate_walks(g, 0, 0, 3, limit=3)
+    with pytest.raises(LimitExceeded):
+        enumerate_walks(g, 0, 0, 0, limit=0)
 
 
 def test_total_walk_count_matches_exhaustive_enumeration():
