@@ -176,27 +176,38 @@ def _successor_choices(g: DirectedGraph) -> list[list[tuple[int, int]]]:
 
 
 def _cover_search(g: DirectedGraph, visit, limit: int) -> None:
-    """Call visit(successor map) on each cycle cover, charged against ``limit``."""
+    """Call visit(successor map) on each cycle cover, charged against ``limit``.
+
+    A depth-first search over the vertices in order, trying each vertex's
+    choices in edge-id order; ``stack[v]`` is the next choice to try at vertex
+    v, so the search depth is bounded by memory, not by the recursion limit.
+    """
     choices = _successor_choices(g)
     succ = [-1] * g.n
     used = [False] * g.n
-    reached = [0]
-
-    def rec(v: int) -> None:
+    reached = 0
+    stack = [0]
+    while stack:
+        v = len(stack) - 1
         if v == g.n:
-            reached[0] += 1
-            check_limit(reached[0], limit, "cycle covers")
+            reached += 1
+            check_limit(reached, limit, "cycle covers")
             visit(succ)
-            return
-        for target, eid in choices[v]:
-            if not used[target]:
-                used[target] = True
-                succ[v] = eid
-                rec(v + 1)
-                used[target] = False
-        succ[v] = -1
-
-    rec(0)
+            stack.pop()
+            continue
+        if succ[v] != -1:
+            used[g.edges[succ[v]][1]] = False
+            succ[v] = -1
+        i = stack[v]
+        while i < len(choices[v]) and used[choices[v][i][0]]:
+            i += 1
+        if i == len(choices[v]):
+            stack.pop()
+            continue
+        target, succ[v] = choices[v][i]
+        used[target] = True
+        stack[v] = i + 1
+        stack.append(0)
 
 
 def cover_cycles(g: DirectedGraph, edge_ids: Iterable[int]) -> list[list[int]]:

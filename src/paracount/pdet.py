@@ -6,9 +6,12 @@ all permutations moving exactly k points.  The module offers two routes:
 * ``pdet_direct`` enumerates moved-point subsets and fixed-point-free
   bijections on them (the definition, verbatim);
 * ``pdet_clow`` sums signs over all k-clow sequences of the digraph whose
-  adjacency matrix is A, enumerated by determinising the guess structure of
-  the two counting machines (head; then per step: extend with a successor,
-  or close the clow and open a new one at a strictly larger head).
+  adjacency matrix is A.  It counts the accepting paths of the two clow
+  machines (head; then per step: extend with a successor, or close the
+  clow and open a new one at a strictly larger head) by a frontier DP over
+  their configurations, in O(k * n^3) time.  ``enumerate_k_clow_sequences``
+  determinises the same guesses into explicit sequences and serves only as
+  the oracle, together with the involution ``eta``.
 
 A clow is a closed walk whose head (first vertex) is its minimum and is not
 revisited before the closing step; a k-clow sequence lists clows with
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int
 from .graphs import cycles_of
+from .walks import propagate
 
 
 @dataclass(frozen=True)
@@ -237,20 +241,39 @@ def clow_parity_counts(
 ) -> tuple[int, int]:
     """(positive-sign count, negative-sign count) over all k-clow sequences.
 
-    These are the accepting-path counts of the two machines whose difference
-    is pdet; exposed separately so the difference structure stays visible.
+    These are the accepting-path counts of the two clow machines whose
+    difference is pdet, counted by a frontier DP over their configurations
+    in O(k * n^3) time: a configuration is (head, current vertex, parity of
+    the closed clows), every move uses one edge, and ``(None, None, odd)``
+    marks a finished sequence.  The sequence count is then charged against
+    ``limit``, as the enumerator would charge it, so the routes refuse alike.
     """
-    positive = negative = 0
-    for w in enumerate_k_clow_sequences(a, k, limit):
-        if clow_sign(w) == 1:
-            positive += 1
-        else:
-            negative += 1
+    if k < 0:
+        raise CountingError("k-out-of-range", f"k = {k}")
+    n, rows = a.n, a.rows
+
+    def step(state):
+        head, cur, odd = state
+        if head is None:
+            return []
+        moves = [(head, v, odd) for v in range(head + 1, n) if v != cur and rows[cur][v]]
+        if cur != head and rows[cur][head]:
+            moves.append((None, None, not odd))
+            moves += [(h, h, not odd) for h in range(head + 1, n)]
+        return moves
+
+    # The finished empty sequence seeds the start too: it survives only k = 0.
+    start = dict.fromkeys([(None, None, False)] + [(h, h, False) for h in range(n)], 1)
+    ends = propagate(start, k, step)
+    even, odd = ends.get((None, None, False), 0), ends.get((None, None, True), 0)
+    positive, negative = (odd, even) if k % 2 else (even, odd)
+    check_limit(positive + negative, limit, f"{k}-clow sequences")
     return positive, negative
 
 
 def pdet_clow(a: ZeroOneMatrix, k: int, limit: int = DEFAULT_LIMIT) -> int:
-    """pdet via the signed k-clow-sequence expansion."""
+    """pdet via the signed k-clow-sequence expansion, in O(k * n^3) time;
+    refuses when more than ``limit`` k-clow sequences exist."""
     positive, negative = clow_parity_counts(a, k, limit)
     return positive - negative
 

@@ -1,5 +1,6 @@
 """The unconstrained walk counters, each with its output gate, and the one
-frontier propagation that every walk counter (here and in ``cnf``) runs.
+frontier propagation that every walk counter (here and in ``cnf``) runs;
+``pdet`` runs it too, over the configurations of the clow machines.
 
 Length conventions (fixed once, used consistently by every reduction):
 

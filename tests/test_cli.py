@@ -118,6 +118,13 @@ def test_cyclecover2cnf(tmp_path, capsys):
     assert code == 0 and json.loads(out)["count"] == "1"
 
 
+def test_cyclecover2cnf_searches_past_recursion_limit(tmp_path, capsys):
+    n = 1500  # deeper than the interpreter's default recursion limit
+    graph = write(tmp_path, "loops.json", {"n": n, "edges": [[v, v] for v in range(n)]})
+    code, out, _ = run(capsys, "cyclecover2cnf", "--graph", graph, "--a", "2", "--k", "0")
+    assert code == 0 and json.loads(out)["count"] == "1"
+
+
 def test_mc_plain_and_local(tmp_path, capsys):
     formula = write(
         tmp_path, "phi.json",

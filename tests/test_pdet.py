@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from paracount.errors import CountingError
+from paracount.errors import DEFAULT_LIMIT, CountingError, LimitExceeded
 from paracount.pdet import (
     Clow,
     ClowSequence,
@@ -47,6 +47,23 @@ def permutation_expansion_det(rows):
         )
         total += (-1) ** inversions * weight
     return total
+
+
+def bareiss_det(rows):
+    """Independent determinant: fraction-free Gaussian elimination."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for i in range(n):
+        if not m[i][i]:
+            swap = next((r for r in range(i + 1, n) if m[r][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap], sign = m[swap], m[i], -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * m[-1][-1] if n else 1
 
 
 def test_pdet_direct_degenerate_k():
@@ -131,6 +148,36 @@ def test_pdet_clow_equals_direct_exhaustively_small():
             )
             for k in range(n + 1):
                 assert pdet_clow(a, k) == pdet_direct(a, k)
+
+
+def test_pdet_clow_sums_to_determinant_past_enumeration_scale():
+    # Summed over k, pdet of a unit-diagonal matrix is its determinant; at
+    # these sizes the k-clow sequences number far beyond any enumeration.
+    rng = random.Random(56)
+    for n in (20, 21, 22):
+        rows = [[1 if i == j else rng.randint(0, 1) for j in range(n)] for i in range(n)]
+        a = ZeroOneMatrix.from_rows(rows)
+        total = sum(pdet_clow(a, k, limit=10**60) for k in range(n + 1))
+        assert total == bareiss_det(rows)
+
+
+def test_clow_parity_counts_refuses_exactly_past_default_limit():
+    ones = ZeroOneMatrix.from_rows([[1] * 8 for _ in range(8)])
+    refused = []
+    for k in range(11):
+        pair = clow_parity_counts(ones, k, limit=10**60)
+        assert clow_parity_counts(ones, k, limit=sum(pair)) == pair
+        if sum(pair):
+            with pytest.raises(LimitExceeded):
+                clow_parity_counts(ones, k, limit=sum(pair) - 1)
+        if sum(pair) <= DEFAULT_LIMIT:
+            assert clow_parity_counts(ones, k) == pair
+            continue
+        with pytest.raises(LimitExceeded) as err:
+            clow_parity_counts(ones, k)
+        assert str(err.value) == f"limit-exceeded: more than {DEFAULT_LIMIT} {k}-clow sequences"
+        refused.append(k)
+    assert refused == [10]  # 7631048 sequences at k = 9, 46541920 at k = 10
 
 
 def test_involution_beyond_ambient_size():
@@ -225,6 +272,7 @@ def test_det_cross_check_matches_independent_determinants():
         rows = [list(r) for r in a.rows]
         assert value == determinant_cofactor(rows)
         assert value == permutation_expansion_det(rows)
+        assert value == bareiss_det(rows)
 
 
 def test_matrix_json_roundtrip():
