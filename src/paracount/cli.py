@@ -4,26 +4,24 @@ One subcommand per counting problem, plus `reduce` for the instance
 transforms and `selftest` for the cross-oracle property battery.  On
 success a single JSON report goes to stdout with the exact count as a
 decimal string; diagnostics go to stderr.  Exit codes: 0 success, 1 domain
-error (stable error name on stderr), 2 usage error.
+error (stable error name on stderr), 2 usage error.  A process imports only
+the module its subcommand runs (see `COMMANDS`).
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import os
 import sys
 import time
 
-from . import bp as bpm
-from . import cnf as cnfm
-from . import fo as fom
-from . import homs as homm
-from . import pdet as pdm
-from . import reductions as redm
-from . import walks as wkm
 from .errors import DEFAULT_LIMIT, CountingError, read_int
 from .graphs import graph_from_json, graph_to_json
+
+#: The keys of `reductions.standard_records()`, spelt out so that building
+#: the parser imports no counting module (a test keeps the two equal).
+REDUCTIONS = ("hom-to-reach", "reach-to-mc", "reach-to-pdet", "reachcolour-to-hom")
 
 
 def _load_json(path: str) -> dict:
@@ -37,22 +35,17 @@ def _load_json(path: str) -> dict:
 
 
 def _digest(payload) -> str:
+    import hashlib  # here, not at the top: a refusal never loads OpenSSL
+
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
 
 
 def _report(value: int, gate_applied: bool, started: float, payload, key="count"):
-    print(
-        json.dumps(
-            {
-                key: str(value),
-                "gateApplied": bool(gate_applied),
-                "elapsedMs": int((time.monotonic() - started) * 1000),
-                "instanceDigest": _digest(payload),
-            }
-        )
-    )
+    elapsed_ms = int((time.monotonic() - started) * 1000)
+    print(json.dumps({key: str(value), "gateApplied": bool(gate_applied),
+                      "elapsedMs": elapsed_ms, "instanceDigest": _digest(payload)}))
 
 
 def _endpoints(parts: dict, args) -> tuple[int, int]:
@@ -63,7 +56,7 @@ def _endpoints(parts: dict, args) -> tuple[int, int]:
     return s, t
 
 
-def _load_cnf(parts: dict, args) -> cnfm.EdgeCNF:
+def _load_cnf(cnfm, parts: dict, args):
     inline = parts.get("clauses")
     if args.cnf and inline is not None:
         raise CountingError("two-cnf-sources", "use --cnf or inline clauses, not both")
@@ -83,14 +76,21 @@ def _parse_bits(text: str, width: int, what: str) -> list[int]:
     return [int(c) for c in text]
 
 
+def _limit(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer (--limit or env PARACOUNT_LIMIT)")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paracount", description="Exact parameterised counting at desk scale."
     )
     parser.add_argument(
         "--limit",
-        type=int,
-        default=int(os.environ.get("PARACOUNT_LIMIT", DEFAULT_LIMIT)),
+        type=_limit,  # argparse converts a string default too: a bad env value is a usage error
+        default=os.environ.get("PARACOUNT_LIMIT", str(DEFAULT_LIMIT)),
         help="cap on the candidates of every exhaustive route (env PARACOUNT_LIMIT)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--method", choices=["acc", "fast"], default="acc")
 
     red = sub.add_parser("reduce", help="run a count-preserving instance transform")
-    red.add_argument("--name", required=True, choices=sorted(redm.standard_records()))
+    red.add_argument("--name", required=True, choices=REDUCTIONS)
     red.add_argument("--in", dest="infile", required=True)
     red.add_argument("--out", dest="outfile", required=True)
 
@@ -154,183 +154,182 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _graph(mod, args, started):
+    """The six graph subcommands; ``mod`` is ``cnf`` for the two CNF ones, else ``walks``."""
+    extra = {"clauses"} if args.command.endswith("cnf") else set()
+    obj = _load_json(args.graph)
+    parts = graph_from_json(obj, extra_fields=extra)
+    g = parts["graph"]
+    payload = {"command": args.command, "instance": obj, "k": args.k}
+    if args.command == "reach":
+        s, t = _endpoints(parts, args)
+        _report(mod.count_reach(g, s, t, args.k), False, started, payload)
+    elif args.command == "logreach":
+        s, t = _endpoints(parts, args)
+        gate = not mod.log_gate_passes(args.a, args.k, g.n)
+        count = mod.count_log_reach_b(g, s, t, args.a, args.k, args.b)
+        _report(count, gate, started, {**payload, "a": args.a, "b": args.b})
+    elif args.command == "logwalk":
+        gate = not mod.log_gate_passes(args.a, args.k, g.n)
+        count = mod.count_log_walk_b(g, args.a, args.k, args.b)
+        _report(count, gate, started, {**payload, "a": args.a, "b": args.b})
+    elif args.command == "reachcolour":
+        if "colouring" not in parts:
+            raise CountingError("colouring-incomplete", "instance has no colours")
+        s, t = _endpoints(parts, args)
+        vc = parts["colouring"]
+        count = mod.count_reach_colour(vc, s, t, args.k)
+        _report(count, vc.m != args.k, started, payload)
+    elif args.command == "reach2cnf":
+        s, t = _endpoints(parts, args)
+        phi = _load_cnf(mod, parts, args)
+        gate = not mod.reach2cnf_gate_passes(g, phi, args.a, args.k)
+        count = mod.count_log_reach2_cnf(g, s, t, phi, args.a, args.k)
+        _report(count, gate, started,
+                {**payload, "a": args.a, "cnf": phi.to_dimacs_literals()})
+    else:  # cyclecover2cnf
+        phi = _load_cnf(mod, parts, args)
+        gate = not mod.cyclecover_gate_passes(g, phi, args.a)
+        count = mod.count_cycle_cover2_cnf(g, phi, args.a, args.k, args.limit)
+        _report(count, gate, started,
+                {**payload, "a": args.a, "cnf": phi.to_dimacs_literals()})
+
+
+def _mc(fom, args, started):
+    phi = fom.formula_from_json(_load_json(args.formula))
+    structure = fom.structure_from_json(_load_json(args.structure))
+    if args.local:
+        r = args.r if args.r is not None else fom.locality_radius(phi)
+        arity = args.arity if args.arity is not None else fom.max_arity(phi)
+        count = fom.count_mc_local(phi, structure, args.k, r, arity)
+    else:
+        count = fom.count_mc(phi, structure, args.k, args.limit)
+    payload = {"formula": fom.formula_node_to_json(phi.root),
+               "structure": fom.structure_to_json(structure), "k": args.k}
+    _report(count, args.k != phi.size, started, payload)
+
+
+def _hom(homm, args, started):
+    from . import fo as fom  # already loaded by homs
+    target = fom.structure_from_json(_load_json(args.target))
+    if args.oracle:
+        pattern = homm.make_path_star(args.n).structure
+        count = homm.count_hom_oracle(pattern, target, args.limit) if args.n <= args.k else 0
+    else:
+        count = homm.count_hom_path_star(args.n, target, args.k)
+    payload = {"n": args.n, "k": args.k, "target": fom.structure_to_json(target)}
+    _report(count, args.n > args.k, started, payload)
+
+
+def _pdet(pdm, args, started):
+    matrix = pdm.matrix_from_json(_load_json(args.matrix))
+    method = pdm.pdet_clow if args.method == "clow" else pdm.pdet_direct
+    value = method(matrix, args.k, args.limit)
+    payload = {"matrix": pdm.matrix_to_json(matrix), "k": args.k, "method": args.method}
+    _report(value, False, started, payload, key="value")
+
+
+def _bp(bpm, args, started):
+    program = bpm.bp_from_json(_load_json(args.program))
+    x = _parse_bits(args.x, program.num_x, "--x")
+    payload = {"program": bpm.bp_to_json(program), "x": args.x, "y": args.y}
+    if args.y is not None:
+        y = _parse_bits(args.y, program.num_y, "--y")
+        _report(int(bpm.bp_accepts(program, x, y)), False, started, payload)
+    elif args.method == "fast":
+        _report(bpm.bp_count_fast(program, x), False, started, payload)
+    else:
+        _report(bpm.bp_count_acc(program, x, args.limit), False, started, payload)
+
+
+def _reduce(redm, args, started):
+    from . import fo as fom, pdet as pdm  # already loaded by reductions
+    obj = _load_json(args.infile)
+    name = args.name
+
+    def num(key: str) -> int:
+        return read_int(obj[key], key)
+
+    if name == "hom-to-reach":
+        target = fom.structure_from_json(obj["target"])
+        graph, s, t, kp = redm.reduce_hom_to_reach(num("n"), target, num("k"))
+        out = graph_to_json(graph, s=s, t=t)
+        sidecar = {"name": name, "kPrime": kp}
+    elif name == "reachcolour-to-hom":
+        parts = graph_from_json(obj["graph"])
+        pattern, target, kp = redm.reduce_reach_colour_to_hom(
+            parts["colouring"], num("s"), num("t"), num("k")
+        )
+        out = fom.structure_to_json(target)
+        sidecar = {"name": name, "kPrime": kp, "patternN": pattern.n}
+    elif name == "reach-to-mc":
+        parts = graph_from_json(obj["graph"])
+        phi, structure, kp = redm.reduce_reach_to_mc(
+            parts["graph"], num("s"), num("t"), num("k")
+        )
+        out = {
+            "formula": fom.formula_node_to_json(phi.root),
+            "structure": fom.structure_to_json(structure),
+        }
+        sidecar = {"name": name, "kPrime": kp}
+    else:  # reach-to-pdet
+        parts = graph_from_json(obj["graph"])
+        matrix, kp, sign = redm.reduce_reach_to_pdet(
+            parts["graph"], num("s"), num("t"), num("k")
+        )
+        out = pdm.matrix_to_json(matrix)
+        sidecar = {"name": name, "kPrime": kp, "recoverySign": sign}
+    with open(args.outfile, "w", encoding="utf-8") as handle:
+        json.dump(out, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    with open(args.outfile + ".record.json", "w", encoding="utf-8") as handle:
+        json.dump(sidecar, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(json.dumps({**sidecar, "out": args.outfile}))
+
+
+def _selftest(stm, args, started) -> int:
+    ok = True
+    for name, passed, failures in stm.run_selftest(args.seed, args.scale):
+        print(f"{'PASS' if passed else 'FAIL'}  {name}")
+        for failure in failures[:5]:
+            print(f"      {failure}", file=sys.stderr)
+        ok = ok and passed
+    print(f"{'OK' if ok else 'FAILED'}  seed={args.seed} scale={args.scale}")
+    return 0 if ok else 1
+
+
+#: Subcommand -> (the `paracount` module its runner is handed, runner).  Runners
+#: call counters through that module, so a function rebound there is the one run.
+COMMANDS = {
+    "reach": ("walks", _graph), "logreach": ("walks", _graph), "logwalk": ("walks", _graph),
+    "reachcolour": ("walks", _graph), "reach2cnf": ("cnf", _graph),
+    "cyclecover2cnf": ("cnf", _graph), "mc": ("fo", _mc), "hom": ("homs", _hom),
+    "pdet": ("pdet", _pdet), "bp": ("bp", _bp), "reduce": ("reductions", _reduce),
+    "selftest": ("selftest", _selftest),
+}
+
+
 def _run(args) -> int:
-    started = time.monotonic()
-
-    if args.command == "selftest":
-        from .selftest import run_selftest
-
-        results = run_selftest(args.seed, args.scale)
-        ok = True
-        for name, passed, failures in results:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}")
-            for failure in failures[:5]:
-                print(f"      {failure}", file=sys.stderr)
-            ok = ok and passed
-        print(f"{'OK' if ok else 'FAILED'}  seed={args.seed} scale={args.scale}")
-        return 0 if ok else 1
-
-    if args.command == "reduce":
-        obj = _load_json(args.infile)
-        name = args.name
-
-        def num(key: str) -> int:
-            return read_int(obj[key], key)
-
-        if name == "hom-to-reach":
-            target = fom.structure_from_json(obj["target"])
-            graph, s, t, kp = redm.reduce_hom_to_reach(num("n"), target, num("k"))
-            out = graph_to_json(graph, s=s, t=t)
-            sidecar = {"name": name, "kPrime": kp}
-        elif name == "reachcolour-to-hom":
-            parts = graph_from_json(obj["graph"])
-            pattern, target, kp = redm.reduce_reach_colour_to_hom(
-                parts["colouring"], num("s"), num("t"), num("k")
-            )
-            out = fom.structure_to_json(target)
-            sidecar = {"name": name, "kPrime": kp, "patternN": pattern.n}
-        elif name == "reach-to-mc":
-            parts = graph_from_json(obj["graph"])
-            phi, structure, kp = redm.reduce_reach_to_mc(
-                parts["graph"], num("s"), num("t"), num("k")
-            )
-            out = {
-                "formula": fom.formula_node_to_json(phi.root),
-                "structure": fom.structure_to_json(structure),
-            }
-            sidecar = {"name": name, "kPrime": kp}
-        else:  # reach-to-pdet
-            parts = graph_from_json(obj["graph"])
-            matrix, kp, sign = redm.reduce_reach_to_pdet(
-                parts["graph"], num("s"), num("t"), num("k")
-            )
-            out = pdm.matrix_to_json(matrix)
-            sidecar = {"name": name, "kPrime": kp, "recoverySign": sign}
-        with open(args.outfile, "w", encoding="utf-8") as handle:
-            json.dump(out, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        with open(args.outfile + ".record.json", "w", encoding="utf-8") as handle:
-            json.dump(sidecar, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(json.dumps({**sidecar, "out": args.outfile}))
-        return 0
-
-    if args.command in ("reach", "logreach", "logwalk", "reachcolour",
-                        "reach2cnf", "cyclecover2cnf"):
-        extra = {"clauses"} if args.command.endswith("cnf") else set()
-        obj = _load_json(args.graph)
-        parts = graph_from_json(obj, extra_fields=extra)
-        g = parts["graph"]
-        payload = {"command": args.command, "instance": obj, "k": args.k}
-        if args.command == "reach":
-            s, t = _endpoints(parts, args)
-            _report(wkm.count_reach(g, s, t, args.k), False, started, payload)
-        elif args.command == "logreach":
-            s, t = _endpoints(parts, args)
-            gate = not wkm.log_gate_passes(args.a, args.k, g.n)
-            count = wkm.count_log_reach_b(g, s, t, args.a, args.k, args.b)
-            _report(count, gate, started, {**payload, "a": args.a, "b": args.b})
-        elif args.command == "logwalk":
-            gate = not wkm.log_gate_passes(args.a, args.k, g.n)
-            count = wkm.count_log_walk_b(g, args.a, args.k, args.b)
-            _report(count, gate, started, {**payload, "a": args.a, "b": args.b})
-        elif args.command == "reachcolour":
-            if "colouring" not in parts:
-                raise CountingError("colouring-incomplete", "instance has no colours")
-            s, t = _endpoints(parts, args)
-            vc = parts["colouring"]
-            count = wkm.count_reach_colour(vc, s, t, args.k)
-            _report(count, vc.m != args.k, started, payload)
-        elif args.command == "reach2cnf":
-            s, t = _endpoints(parts, args)
-            phi = _load_cnf(parts, args)
-            gate = not cnfm.reach2cnf_gate_passes(g, phi, args.a, args.k)
-            count = cnfm.count_log_reach2_cnf(g, s, t, phi, args.a, args.k)
-            _report(count, gate, started,
-                    {**payload, "a": args.a, "cnf": phi.to_dimacs_literals()})
-        else:  # cyclecover2cnf
-            phi = _load_cnf(parts, args)
-            gate = not cnfm.cyclecover_gate_passes(g, phi, args.a)
-            count = cnfm.count_cycle_cover2_cnf(g, phi, args.a, args.k, args.limit)
-            _report(count, gate, started,
-                    {**payload, "a": args.a, "cnf": phi.to_dimacs_literals()})
-        return 0
-
-    if args.command == "mc":
-        phi = fom.formula_from_json(_load_json(args.formula))
-        structure = fom.structure_from_json(_load_json(args.structure))
-        if args.local:
-            r = args.r if args.r is not None else fom.locality_radius(phi)
-            arity = args.arity if args.arity is not None else fom.max_arity(phi)
-            count = fom.count_mc_local(phi, structure, args.k, r, arity)
-        else:
-            count = fom.count_mc(phi, structure, args.k, args.limit)
-        payload = {"formula": fom.formula_node_to_json(phi.root),
-                   "structure": fom.structure_to_json(structure), "k": args.k}
-        _report(count, args.k != phi.size, started, payload)
-        return 0
-
-    if args.command == "hom":
-        target = fom.structure_from_json(_load_json(args.target))
-        if args.oracle:
-            pattern = homm.make_path_star(args.n).structure
-            count = (
-                homm.count_hom_oracle(pattern, target, args.limit)
-                if args.n <= args.k
-                else 0
-            )
-        else:
-            count = homm.count_hom_path_star(args.n, target, args.k)
-        payload = {"n": args.n, "k": args.k,
-                   "target": fom.structure_to_json(target)}
-        _report(count, args.n > args.k, started, payload)
-        return 0
-
-    if args.command == "pdet":
-        matrix = pdm.matrix_from_json(_load_json(args.matrix))
-        if args.method == "clow":
-            value = pdm.pdet_clow(matrix, args.k, args.limit)
-        else:
-            value = pdm.pdet_direct(matrix, args.k, args.limit)
-        payload = {"matrix": pdm.matrix_to_json(matrix), "k": args.k,
-                   "method": args.method}
-        _report(value, False, started, payload, key="value")
-        return 0
-
-    if args.command == "bp":
-        program = bpm.bp_from_json(_load_json(args.program))
-        x = _parse_bits(args.x, program.num_x, "--x")
-        payload = {"program": bpm.bp_to_json(program), "x": args.x, "y": args.y}
-        if args.y is not None:
-            y = _parse_bits(args.y, program.num_y, "--y")
-            _report(int(bpm.bp_accepts(program, x, y)), False, started, payload)
-        elif args.method == "fast":
-            _report(bpm.bp_count_fast(program, x), False, started, payload)
-        else:
-            _report(bpm.bp_count_acc(program, x, args.limit), False, started, payload)
-        return 0
-
-    raise CountingError("unknown-command", args.command)
+    module, runner = COMMANDS[args.command]
+    mod = importlib.import_module(f".{module}", __package__)
+    return runner(mod, args, time.monotonic()) or 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _run(args)
     except CountingError as exc:
-        print(f"error: {exc.code}: {exc.message}", file=sys.stderr)
-        return 1
+        reason = f"{exc.code}: {exc.message}"
     except OSError as exc:
-        print(f"error: io-error: {exc}", file=sys.stderr)
-        return 1
+        reason = f"io-error: {exc}"
     except (TypeError, ValueError, KeyError, AttributeError) as exc:
-        print(f"error: malformed-instance: {exc!r}", file=sys.stderr)
-        return 1
+        reason = f"malformed-instance: {exc!r}"
     except RecursionError:
-        print("error: instance-too-deep: input nests too deeply to read",
-              file=sys.stderr)
-        return 1
+        reason = "instance-too-deep: input nests too deeply to read"
+    print(f"error: {reason}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

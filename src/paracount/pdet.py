@@ -23,6 +23,7 @@ routes agree.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -252,6 +253,7 @@ def clow_parity_counts(
         raise CountingError("k-out-of-range", f"k = {k}")
     n, rows = a.n, a.rows
 
+    @functools.cache  # a state's moves never change: list them once per call
     def step(state):
         head, cur, odd = state
         if head is None:

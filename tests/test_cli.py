@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from paracount.cli import main
+import paracount
+from paracount import reductions
+from paracount.cli import REDUCTIONS, main
 
 DIAMOND = {"n": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]], "s": 0, "t": 3}
 
@@ -441,3 +447,50 @@ def test_limit_flag_and_env_guard_enumeration(tmp_path, capsys, monkeypatch):
         assert code == 1 and "limit-exceeded" in err and out == "", argv
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)[key] == expected, argv
+
+
+@pytest.mark.parametrize(
+    "flag, env", [([], "abc"), (["--limit", "-1"], None), ([], "-1")],
+    ids=["env-abc", "flag-negative", "env-negative"],
+)
+def test_bad_limit_is_usage_error(tmp_path, capsys, monkeypatch, flag, env):
+    graph = write(tmp_path, "diamond.json", DIAMOND)
+    if env is not None:
+        monkeypatch.setenv("PARACOUNT_LIMIT", env)
+    with pytest.raises(SystemExit) as exc:
+        main([*flag, "reach", "--graph", graph, "--k", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    value = env if env is not None else flag[1]
+    assert f"argument --limit: {value!r} is not a non-negative integer" in err
+    assert "Traceback" not in err
+
+
+def test_reduce_names_are_the_standard_reductions():
+    assert list(REDUCTIONS) == sorted(reductions.standard_records())
+
+
+def test_reach_process_loads_only_the_walk_modules(tmp_path):
+    graph = write(tmp_path, "diamond.json", DIAMOND)
+    script = (
+        "import json, sys\n"
+        "start = set(sys.modules)\n"
+        "from paracount.cli import main\n"
+        f"refused = main(['reach', '--graph', {str(tmp_path / 'missing.json')!r}, '--k', '3'])\n"
+        "after_refusal = sorted(set(sys.modules) - start)\n"
+        f"counted = main(['reach', '--graph', {graph!r}, '--k', '3'])\n"
+        "print(json.dumps([refused, after_refusal, counted, sorted(sys.modules)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(paracount.__file__).resolve().parent.parent)}
+    env.pop("PARACOUNT_LIMIT", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, modules = proc.stdout.splitlines()
+    refused, after_refusal, counted, loaded = json.loads(modules)
+    assert (refused, counted, json.loads(report)["count"]) == (1, 0, "2")
+    assert "hashlib" not in after_refusal  # only a report needs the digest
+    unused = {"fo", "bp", "pdet", "cnf", "homs", "reductions", "selftest"}
+    assert not {f"paracount.{name}" for name in unused} & set(loaded)
+    assert "paracount.walks" in loaded
