@@ -17,7 +17,6 @@ and ``bp_count_fast``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -36,9 +35,15 @@ class BranchingProgram:
     source: int
     sink: int
     label_map: dict[int, Label] = field(init=False, repr=False, compare=False)
+    out_map: dict[int, list[tuple[int, int | None]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "label_map", dict(self.labels))
+        out: dict = {}
+        for u, v, bit in self.edges:
+            out.setdefault(u, []).append((v, bit))
+        object.__setattr__(self, "out_map", out)
 
     def label_of(self, node: int) -> Label:
         return self.label_map.get(node, ("pass",))
@@ -47,10 +52,8 @@ class BranchingProgram:
         return {v: i for i, layer in enumerate(self.layers) for v in layer}
 
     def out_edges(self) -> dict[int, list[tuple[int, int | None]]]:
-        out: dict[int, list[tuple[int, int | None]]] = {}
-        for u, v, bit in self.edges:
-            out.setdefault(u, []).append((v, bit))
-        return out
+        """Node -> [(successor, bit)], built once; callers must not mutate it."""
+        return self.out_map
 
     def nodes(self) -> list[int]:
         return [v for layer in self.layers for v in layer]
@@ -144,35 +147,12 @@ def _reachable_from_source(p: BranchingProgram) -> set[int]:
     return seen
 
 
-def is_strictly_deterministic(p: BranchingProgram) -> bool:
-    """The two-edges-per-reachable-node notion: every reachable non-sink
-    variable node has exactly one 0-edge and one 1-edge; reachable pass
-    nodes have exactly one forced edge."""
-    out = p.out_edges()
-    for node in _reachable_from_source(p):
-        if node == p.sink:
-            continue
-        fanout = out.get(node, [])
-        if p.label_of(node)[0] == "pass":
-            if len(fanout) != 1:
-                return False
-        elif sorted(bit for _, bit in fanout) != [0, 1]:
-            return False
-    return True
-
-
 def is_deterministic_given_inputs(p: BranchingProgram) -> bool:
     """No node offers two edges for the same bit value; fixing (x, y) then
-    forces at most one maximal walk (missing edges mean rejection)."""
-    for node, fanout in p.out_edges().items():
-        if p.label_of(node)[0] == "pass":
-            if len(fanout) > 1:
-                return False
-        else:
-            bits = [bit for _, bit in fanout]
-            if len(bits) != len(set(bits)):
-                return False
-    return True
+    forces at most one maximal walk (missing edges mean rejection).  A pass
+    node has at most one edge, labelled None (``validate_bp``)."""
+    return all(len(fanout) == len({bit for _, bit in fanout})
+               for fanout in p.out_edges().values())
 
 
 def _bit_of(label: Label, x: Sequence[int], y: Sequence[int]) -> int | None:
@@ -483,11 +463,6 @@ def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
     for j, cnt in counts.get(p.sink, {}).items():
         total += cnt * 2 ** (p.num_y - j + 1)
     return total
-
-
-def k_bounded(num_y: int, f_of_param: int, num_x: int) -> bool:
-    """The bounded-nondeterminism predicate: numY <= f(k) * ceil(log2 numX)."""
-    return num_y <= f_of_param * max(math.ceil(math.log2(max(num_x, 2))), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,17 @@ from .graphs import graph_from_json, graph_to_json
 REDUCTIONS = ("hom-to-reach", "reach-to-mc", "reach-to-pdet", "reachcolour-to-hom")
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return handle.read()
     except FileNotFoundError:
         raise CountingError("file-not-found", path)
+
+
+def _load_json(path: str) -> dict:
+    try:
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise CountingError("malformed-json", f"{path}: {exc}")
 
@@ -61,8 +66,7 @@ def _load_cnf(cnfm, parts: dict, args):
     if args.cnf and inline is not None:
         raise CountingError("two-cnf-sources", "use --cnf or inline clauses, not both")
     if args.cnf:
-        with open(args.cnf, "r", encoding="utf-8") as handle:
-            return cnfm.parse_dimacs(handle.read())
+        return cnfm.parse_dimacs(_read(args.cnf))
     if inline is not None:
         return cnfm.EdgeCNF.from_dimacs_literals(inline)
     return cnfm.EdgeCNF.empty()
@@ -124,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--k", type=int, required=True)
     mc.add_argument("--local", action="store_true", help="use the locality sweep")
     mc.add_argument("--r", type=int, help="locality bound (default: computed)")
-    mc.add_argument("--arity", type=int, help="arity bound (default: computed)")
 
     hom = sub.add_parser("hom", help="homomorphisms from the starred path")
     hom.add_argument("--n", type=int, required=True)
@@ -196,12 +199,14 @@ def _graph(mod, args, started):
 
 
 def _mc(fom, args, started):
-    phi = fom.formula_from_json(_load_json(args.formula))
+    try:  # JSON decoding, formula_node_from_json and QFFormula all recurse
+        phi = fom.formula_from_json(_load_json(args.formula))
+    except RecursionError:
+        raise CountingError("formula-too-deep", f"{args.formula} nests too deeply to read")
     structure = fom.structure_from_json(_load_json(args.structure))
     if args.local:
         r = args.r if args.r is not None else fom.locality_radius(phi)
-        arity = args.arity if args.arity is not None else fom.max_arity(phi)
-        count = fom.count_mc_local(phi, structure, args.k, r, arity)
+        count = fom.count_mc_local(phi, structure, args.k, r, fom.max_arity(phi))
     else:
         count = fom.count_mc(phi, structure, args.k, args.limit)
     payload = {"formula": fom.formula_node_to_json(phi.root),

@@ -38,12 +38,6 @@ class Vocabulary:
             if arity < 1:
                 raise CountingError("bad-arity", f"relation {name} has arity {arity}")
 
-    def arity_of(self, relation: str) -> int | None:
-        for name, arity in self.relations:
-            if name == relation:
-                return arity
-        return None
-
 
 class RelationalStructure:
     """Finite structure: universe {0, ..., universe_size-1} plus interpretations."""
@@ -163,7 +157,6 @@ class QFFormula:
         self.root = root
         self.atoms: list[Atom | Eq] = []
         self._node_count = 0
-        self._children_of: dict[int, tuple[Node, ...]] = {}
         self._validate(root)
         if not self.atoms:
             raise CountingError("no-atoms", "formula has no atoms")
@@ -242,6 +235,21 @@ def max_arity(phi: QFFormula) -> int:
 # ---------------------------------------------------------------------------
 
 
+def check_signature(phi: QFFormula, structure: RelationalStructure) -> None:
+    """Refuse uninterpreted relations or constants and wrong arities, in the
+    order evaluation meets the atoms; evaluation then trusts the symbols."""
+    arities = dict(structure.vocab.relations)
+    for atom in phi.atoms:
+        if isinstance(atom, Atom) and atom.relation not in arities:
+            raise CountingError("symbol-not-interpreted", f"relation {atom.relation}")
+        for term in _atom_terms(atom):
+            if isinstance(term, ConstRef) and term.name not in structure.constant_values:
+                raise CountingError("symbol-not-interpreted", f"constant {term.name}")
+        if isinstance(atom, Atom) and len(atom.args) != arities[atom.relation]:
+            raise CountingError("bad-arity", f"{atom.relation} used with {len(atom.args)} "
+                                f"arguments, declared {arities[atom.relation]}")
+
+
 def _term_value(
     term: Term, assignment: Mapping[str, int], structure: RelationalStructure
 ) -> int:
@@ -249,27 +257,18 @@ def _term_value(
         if term.name not in assignment:
             raise CountingError("unassigned-variable", f"variable {term.name}")
         return assignment[term.name]
-    if term.name not in structure.constant_values:
-        raise CountingError("symbol-not-interpreted", f"constant {term.name}")
     return structure.constant_values[term.name]
 
 
 def eval_atom(
     atom: Atom | Eq, assignment: Mapping[str, int], structure: RelationalStructure
 ) -> bool:
+    """Truth of one atom; the symbols are trusted (see ``check_signature``)."""
     if isinstance(atom, Eq):
         return _term_value(atom.left, assignment, structure) == _term_value(
             atom.right, assignment, structure
         )
-    if atom.relation not in structure.interpretation:
-        raise CountingError("symbol-not-interpreted", f"relation {atom.relation}")
     tup = tuple(_term_value(t, assignment, structure) for t in atom.args)
-    declared = structure.vocab.arity_of(atom.relation)
-    if declared != len(tup):
-        raise CountingError(
-            "bad-arity",
-            f"{atom.relation} used with {len(tup)} arguments, declared {declared}",
-        )
     return tup in structure.interpretation[atom.relation]
 
 
@@ -299,6 +298,7 @@ def count_mc(
     names = phi.free_variables
     check_limit(structure.universe_size ** len(names), limit,
                 f"candidate assignments ({structure.universe_size}^{len(names)})")
+    check_signature(phi, structure)
     total = 0
     for values in itertools.product(range(structure.universe_size), repeat=len(names)):
         if evaluate(phi.root, dict(zip(names, values)), structure):
@@ -388,6 +388,7 @@ def count_mc_local(
         )
     if k != phi.size:
         return 0
+    check_signature(phi, structure)
 
     first_occ: dict[str, int] = {}
     for idx, atom in enumerate(phi.atoms):

@@ -59,6 +59,18 @@ def _check_same_vocabulary(a: RelationalStructure, b: RelationalStructure) -> No
         )
 
 
+def _maps_into(h, a: RelationalStructure, b: RelationalStructure) -> bool:
+    """True iff the total map h (indexed by a's elements) preserves every
+    relation and constant; the vocabularies are trusted to agree."""
+    for name, tuples in a.interpretation.items():
+        target = b.interpretation[name]
+        for tup in tuples:
+            if tuple(h[x] for x in tup) not in target:
+                return False
+    return all(h[value] == b.constant_values[cname]
+               for cname, value in a.constant_values.items())
+
+
 def is_homomorphism(
     h: Mapping[int, int], a: RelationalStructure, b: RelationalStructure
 ) -> bool:
@@ -67,15 +79,7 @@ def is_homomorphism(
     for x in range(a.universe_size):
         if x not in h:
             raise CountingError("unassigned-variable", f"map undefined on element {x}")
-    for name, tuples in a.interpretation.items():
-        target = b.interpretation[name]
-        for tup in tuples:
-            if tuple(h[x] for x in tup) not in target:
-                return False
-    for cname, value in a.constant_values.items():
-        if h[value] != b.constant_values[cname]:
-            return False
-    return True
+    return _maps_into(h, a, b)
 
 
 def enumerate_homs(
@@ -85,11 +89,9 @@ def enumerate_homs(
     _check_same_vocabulary(a, b)
     check_limit(b.universe_size ** a.universe_size, limit,
                 f"candidate maps ({b.universe_size}^{a.universe_size})")
-    out = []
-    for images in itertools.product(range(b.universe_size), repeat=a.universe_size):
-        if is_homomorphism(dict(enumerate(images)), a, b):
-            out.append(images)
-    return out
+    return [images
+            for images in itertools.product(range(b.universe_size), repeat=a.universe_size)
+            if _maps_into(images, a, b)]
 
 
 def count_hom_oracle(
@@ -103,14 +105,20 @@ def _colour_classes(b: RelationalStructure, n: int) -> list[frozenset[int]]:
     return [b.interpretation[f"C_{i}"] for i in range(1, n + 1)]
 
 
-def validate_path_star_target(b: RelationalStructure, n: int) -> None:
-    """Refuse targets on which the layered-graph construction miscounts."""
-    expected = path_star_vocabulary(n)
-    if b.vocab != expected:
+def _check_pattern(n: int, b: RelationalStructure) -> None:
+    """P_n* needs n >= 2, and b must be over its vocabulary (E, C_1..C_n)."""
+    if n < 2:
+        raise CountingError("n-too-small", f"a path needs two endpoints, got n = {n}")
+    if b.vocab != path_star_vocabulary(n):
         raise CountingError(
             "vocabulary-mismatch",
             f"target must be over (E, C_1..C_{n}), got {b.vocab.relations}",
         )
+
+
+def validate_path_star_target(b: RelationalStructure, n: int) -> None:
+    """Refuse targets on which the layered-graph construction miscounts."""
+    _check_pattern(n, b)
     classes = [{t[0] for t in cls} for cls in _colour_classes(b, n)]
     seen: set[int] = set()
     for i, cls in enumerate(classes, start=1):
@@ -158,14 +166,7 @@ def count_hom_path_star(n: int, b: RelationalStructure, k: int) -> int:
 
     Computed by counting s-t walks of n+2 vertices in the layered graph.
     """
-    if n < 2:
-        raise CountingError("n-too-small", f"n = {n}")
-    expected = path_star_vocabulary(n)
-    if b.vocab != expected:
-        raise CountingError(
-            "vocabulary-mismatch",
-            f"target must be over (E, C_1..C_{n}), got {b.vocab.relations}",
-        )
+    _check_pattern(n, b)
     if n > k:
         return 0
     graph, s, t = build_layered_reach_graph(b, n)

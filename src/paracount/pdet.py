@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
 from .graphs import cycles_of
 from .walks import propagate
 
@@ -52,6 +52,12 @@ class ZeroOneMatrix:
         return cls(len(rows), rows)
 
 
+def _check_k(a: ZeroOneMatrix, k: int) -> None:
+    """pdet(A, k) is defined for 0 <= k <= n: no permutation moves more points."""
+    if not (0 <= k <= a.n):
+        raise CountingError("k-out-of-range", f"k = {k}, n = {a.n}")
+
+
 def pdet_direct(a: ZeroOneMatrix, k: int, limit: int = DEFAULT_LIMIT) -> int:
     """Direct definition: sum over permutations moving exactly k points.
 
@@ -59,8 +65,7 @@ def pdet_direct(a: ZeroOneMatrix, k: int, limit: int = DEFAULT_LIMIT) -> int:
     the ordinary permutation sign of pi viewed on all n points.  Raises
     LimitExceeded when its n!/(n-k)! candidates exceed ``limit``.
     """
-    if not (0 <= k <= a.n):
-        raise CountingError("k-out-of-range", f"k = {k}, n = {a.n}")
+    _check_k(a, k)
     check_limit(math.perm(a.n, k), limit, f"candidate permutations ({a.n}!/{a.n - k}!)")
     if k == 0:
         return 1
@@ -275,7 +280,9 @@ def clow_parity_counts(
 
 def pdet_clow(a: ZeroOneMatrix, k: int, limit: int = DEFAULT_LIMIT) -> int:
     """pdet via the signed k-clow-sequence expansion, in O(k * n^3) time;
-    refuses when more than ``limit`` k-clow sequences exist."""
+    refuses k outside 0..n, as ``pdet_direct`` does, and more than ``limit``
+    k-clow sequences."""
+    _check_k(a, k)
     positive, negative = clow_parity_counts(a, k, limit)
     return positive - negative
 
@@ -396,8 +403,6 @@ def det_cross_check(a: ZeroOneMatrix) -> int:
 
 
 def matrix_from_json(obj: dict) -> ZeroOneMatrix:
-    from .errors import reject_unknown_fields
-
     if not isinstance(obj, dict):
         raise CountingError("malformed-instance", "matrix file must be an object")
     reject_unknown_fields(obj, {"n", "rows"}, "matrix")

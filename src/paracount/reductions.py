@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from .errors import CountingError
 from .fo import Atom, ConstRef, Connective, Eq, QFFormula, RelationalStructure, Var, Vocabulary
 from .graphs import DirectedGraph, VertexColouring, check_vertex
-from .homs import PathStarStructure, make_path_star, path_star_vocabulary
+from .homs import PathStarStructure, build_layered_reach_graph, make_path_star, path_star_vocabulary
 from .pdet import ZeroOneMatrix
 
 
@@ -33,10 +33,6 @@ def reduce_hom_to_reach(
     Returns (graph, s, t, k') with k' = n + 2; the homomorphism count from
     P_n* to b equals the number of s-t walks with k' vertices.
     """
-    from .homs import build_layered_reach_graph
-
-    if n < 2:
-        raise CountingError("n-too-small", f"n = {n}")
     graph, s, t = build_layered_reach_graph(b, n)
     return graph, s, t, n + 2
 

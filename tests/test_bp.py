@@ -12,13 +12,12 @@ from paracount.bp import (
     bp_to_json,
     check_read_once_certified,
     is_deterministic_given_inputs,
-    is_strictly_deterministic,
-    k_bounded,
     stagger,
     validate_bp,
 )
 from paracount.errors import CountingError, LimitExceeded
 from paracount.selftest import rand_ordered_bp
+from paracount.walks import log_gate_passes
 
 
 def simple_x_tester():
@@ -35,7 +34,7 @@ def y_root(both_edges=True, num_y=1):
 
 def test_validate_two_layer_deterministic():
     p = validate_bp([[0], [1]], {0: ("x", 1)}, [(0, 1, 0), (0, 1, 1)], 1, 0, 0, 1)
-    assert is_strictly_deterministic(p)
+    assert is_deterministic_given_inputs(p)
 
 
 def test_validate_rejects_same_layer_edge():
@@ -368,9 +367,10 @@ def test_stagger_program_without_accepting_paths():
 
 
 def test_k_bounded_predicate():
-    assert k_bounded(4, 2, 4)  # 4 <= 2 * ceil(log2 4)
-    assert not k_bounded(5, 2, 4)
-    assert k_bounded(2, 2, 2)  # size term floored at 2
+    # The bounded-nondeterminism predicate numY <= f(k) * ceil(log2 numX).
+    assert log_gate_passes(4, 2, 4)
+    assert not log_gate_passes(5, 2, 4)
+    assert log_gate_passes(2, 2, 2)  # size term floored at 2
 
 
 def test_bp_json_roundtrip():

@@ -48,6 +48,15 @@ def test_missing_file_is_domain_error(capsys):
     assert out == ""
 
 
+def test_missing_cnf_file_is_domain_error(tmp_path, capsys):
+    graph = write(tmp_path, "g.json", DIAMOND)
+    for command in ("reach2cnf", "cyclecover2cnf"):
+        code, out, err = run(capsys, command, "--graph", graph, "--a", "2", "--k", "1",
+                             "--cnf", str(tmp_path / "missing.cnf"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: file-not-found")
+
+
 def test_usage_error_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reach"])  # --graph and --k missing
@@ -156,6 +165,33 @@ def test_mc_plain_and_local(tmp_path, capsys):
     assert code == 0 and json.loads(out)["count"] == "1"
 
 
+@pytest.mark.parametrize("atom, structure_extra, code", [
+    ({"atom": "R", "args": [{"var": "x"}]}, {}, "symbol-not-interpreted"),
+    ({"atom": "E", "args": [{"var": "x"}]}, {}, "bad-arity"),
+    ({"atom": "E", "args": [{"var": "x"}, {"const": "c"}]}, {}, "symbol-not-interpreted"),
+    ({"atom": "E", "args": [{"var": "x"}, {"const": "c"}]},
+     {"vocabulary": {"relations": [["E", 2]], "constants": ["c"]},
+      "constantValues": {"c": 1}}, None),
+])
+@pytest.mark.parametrize("local", [(), ("--local",)])
+def test_mc_checks_signature_before_counting(tmp_path, capsys, atom, structure_extra,
+                                             code, local):
+    formula = write(tmp_path, "phi.json", {"op": "and", "args": [
+        {"eq": [{"var": "x"}, {"var": "x"}]}, atom]})
+    structure = write(tmp_path, "A.json", {
+        "vocabulary": {"relations": [["E", 2]]}, "universeSize": 2,
+        "interpretation": {"E": [[0, 1]]}, **structure_extra})
+    argv = ("mc", "--formula", formula, "--structure", structure, *local)
+    exit_code, out, err = run(capsys, *argv, "--k", "3")
+    if code is None:
+        assert exit_code == 0 and json.loads(out)["count"] == "1"
+    else:
+        assert exit_code == 1 and out == "" and err.startswith(f"error: {code}:")
+    # The k gate comes first: a gated count reads no symbol.
+    exit_code, out, _ = run(capsys, *argv, "--k", "4")
+    assert exit_code == 0 and json.loads(out)["count"] == "0"
+
+
 def test_hom(tmp_path, capsys):
     target = write(
         tmp_path, "b.json",
@@ -183,6 +219,16 @@ def test_pdet_methods(tmp_path, capsys):
         )
         assert code == 0
         assert json.loads(out)["value"] == "-1"
+
+
+def test_pdet_methods_refuse_k_above_n(tmp_path, capsys):
+    matrix = write(tmp_path, "ones2.json", {"n": 2, "rows": [[1, 1], [1, 1]]})
+    for method in ("direct", "clow"):
+        code, out, err = run(
+            capsys, "pdet", "--matrix", matrix, "--k", "5", "--method", method
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: k-out-of-range")
 
 
 def test_bp_acceptance_and_counting(tmp_path, capsys):
@@ -359,20 +405,27 @@ def test_program_matrix_and_clause_numbers_must_be_integers(tmp_path, capsys):
 
 
 def test_deeply_nested_file_is_domain_error(tmp_path, capsys):
-    depth = 1500
-    formula = tmp_path / "deep.json"
-    formula.write_text(
-        '{"op": "not", "args": [' * depth
-        + '{"atom": "P", "args": [{"var": "x"}]}'
-        + "]}" * depth
-    )
     structure = write(
         tmp_path, "s.json",
         {"vocabulary": {"relations": [["P", 1]]}, "universeSize": 2,
          "interpretation": {"P": [[0]]}},
     )
-    code, out, err = run(capsys, "mc", "--formula", str(formula), "--structure",
-                         structure, "--k", str(depth + 1))
+    formula = tmp_path / "deep.json"
+    for depth in (600, 1500):
+        formula.write_text(
+            '{"op": "not", "args": [' * depth
+            + '{"atom": "P", "args": [{"var": "x"}]}'
+            + "]}" * depth
+        )
+        for local in ((), ("--local",)):
+            code, out, err = run(capsys, "mc", "--formula", str(formula), "--structure",
+                                 structure, "--k", str(depth + 1), *local)
+            assert code == 1 and "formula-too-deep" in err and out == ""
+            assert "Traceback" not in err
+    # Any other file nested past the recursion limit is refused alike.
+    graph = tmp_path / "deep-graph.json"
+    graph.write_text('{"n": 2, "edges": ' + "[" * 1500 + "]" * 1500 + "}")
+    code, out, err = run(capsys, "reach", "--graph", str(graph), "--k", "2")
     assert code == 1 and "instance-too-deep" in err and out == ""
     assert "Traceback" not in err
 

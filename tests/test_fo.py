@@ -94,6 +94,29 @@ def test_count_mc_missing_symbol():
     with pytest.raises(CountingError) as err:
         count_mc(phi, edge_structure(2, []), 1)
     assert err.value.code == "symbol-not-interpreted"
+    with pytest.raises(CountingError) as err:  # the cap is charged first
+        count_mc(phi, edge_structure(2, []), 1, limit=1)
+    assert err.value.code == "limit-exceeded"
+
+
+def _count_local(phi, structure, k):
+    return count_mc_local(phi, structure, k, locality_radius(phi), max_arity(phi))
+
+
+@pytest.mark.parametrize("count", [count_mc, _count_local])
+@pytest.mark.parametrize("node, code", [
+    (Atom("R", (Var("x"),)), "symbol-not-interpreted"),
+    (Atom("E", (Var("x"),)), "bad-arity"),
+    (Atom("E", (Var("x"), ConstRef("c"))), "symbol-not-interpreted"),
+    (Eq(ConstRef("c"), Var("x")), "symbol-not-interpreted"),
+])
+def test_signature_refused_on_both_routes(count, node, code):
+    phi = QFFormula(conj(atom("E", "x", "y"), atom("E", "y", "z"), node))
+    structure = edge_structure(3, [(0, 1), (1, 2)])
+    with pytest.raises(CountingError) as err:
+        count(phi, structure, phi.size)
+    assert err.value.code == code
+    assert count(phi, structure, phi.size + 1) == 0  # the k gate comes first
 
 
 def test_count_mc_local_validations():
