@@ -13,7 +13,8 @@ of consecutive layers, bands ordered by j; ``stagger`` rebuilds a program
 into that shape (inserting pass-through nodes) whenever every source-sink
 path reads y variables in strictly increasing index order.  One pass in
 layer order, linear in the edges, checks that order for both ``stagger``
-and ``bp_count_fast``.
+and ``bp_count_fast``; the fast counter then keeps one count per node on a
+source-sink path, halved at each y read.
 """
 from __future__ import annotations
 
@@ -134,19 +135,6 @@ def validate_bp(
     return program
 
 
-def _reachable_from_source(p: BranchingProgram) -> set[int]:
-    out = p.out_edges()
-    seen = {p.source}
-    stack = [p.source]
-    while stack:
-        u = stack.pop()
-        for v, _ in out.get(u, []):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def is_deterministic_given_inputs(p: BranchingProgram) -> bool:
     """No node offers two edges for the same bit value; fixing (x, y) then
     forces at most one maximal walk (missing edges mean rejection).  A pass
@@ -188,8 +176,8 @@ def bp_count_acc(
 ) -> int:
     """Number of y assignments accepted for the ordinary input x.
 
-    Exhaustive over {0,1}^numY; this is the oracle the band-propagation
-    counter is checked against.  Unread y bits are free, so they double the
+    Exhaustive over {0,1}^numY; this is the oracle ``bp_count_fast`` is
+    checked against.  Unread y bits are free, so they double the
     count per bit.  Raises LimitExceeded when 2^numY exceeds ``limit``.
     """
     if not is_deterministic_given_inputs(p):
@@ -265,49 +253,45 @@ def check_read_once_certified(p: BranchingProgram) -> ReadOnceCertificate | Refu
     return ReadOnceCertificate(tuple(cuts))
 
 
-def _relevant_nodes(p: BranchingProgram) -> set[int]:
-    forward = _reachable_from_source(p)
-    into: dict[int, list[int]] = {}
-    for u, v, _ in p.edges:
-        into.setdefault(v, []).append(u)
-    seen = {p.sink}
-    stack = [p.sink]
-    while stack:
-        v = stack.pop()
-        for u in into.get(v, []):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return forward & seen
+def _relevant_nodes(p: BranchingProgram) -> list[int]:
+    """The nodes on some source-sink path, in layer order: one sweep forward
+    from the source, one backward from the sink."""
+    out = p.out_edges()
+    order = p.nodes()
+    reached = {p.source}
+    for u in order:
+        if u in reached:
+            reached.update(v for v, _ in out.get(u, []))
+    alive = reached & {p.sink}
+    for u in reversed(order):
+        if u in reached and any(v in alive for v, _ in out.get(u, [])):
+            alive.add(u)
+    return [u for u in order if u in alive]
 
 
 def _check_increasing_reads(p: BranchingProgram, code: str) -> dict[int, int]:
-    """Map each node on a source-sink path to the largest y index read on
-    some source path up to and including it (0 when none).
+    """Map each node on a source-sink path, in layer order, to the largest y
+    index read on some source path up to and including it (0 when none).
 
     One pass in layer order, linear in the edges.  Refuses with ``code``
     when some source-sink path reads y indices not strictly increasingly.
     """
-    relevant = _relevant_nodes(p)
     out = p.out_edges()
     before: dict[int, int] = {}
     upto: dict[int, int] = {}
-    for layer in p.layers:
-        for u in layer:
-            if u not in relevant:
-                continue
-            read = before.get(u, 0)
-            label = p.label_of(u)
-            if label[0] == "y":
-                if label[1] <= read:
-                    raise CountingError(
-                        code, f"y_{label[1]} is read after y_{read} on some path"
-                    )
-                read = label[1]
-            upto[u] = read
-            for v, _ in out.get(u, []):
-                if v in relevant and before.get(v, 0) < read:
-                    before[v] = read
+    for u in _relevant_nodes(p):
+        read = before.get(u, 0)
+        label = p.label_of(u)
+        if label[0] == "y":
+            if label[1] <= read:
+                raise CountingError(
+                    code, f"y_{label[1]} is read after y_{read} on some path"
+                )
+            read = label[1]
+        upto[u] = read
+        for v, _ in out.get(u, []):
+            if before.get(v, 0) < read:
+                before[v] = read
     return upto
 
 
@@ -412,14 +396,16 @@ def stagger(p: BranchingProgram) -> BranchingProgram:
 
 
 def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
-    """Accepting count by per-layer propagation, no y enumeration.
+    """Accepting count by one pass in layer order, no y enumeration.
 
     Requires a read-once certificate, determinism given inputs, and
     strictly increasing y reads on every source-sink path; one layer-order
-    pass, linear in the edges, checks the last.  The state
-    tracks the next unresolved y index; reading y_j doubles pending counts
-    once per skipped bit, and bits never read by the time the sink is
-    reached are freed at the end.
+    pass, linear in the edges, checks the last.  A source-sink path that
+    reads r distinct y bits accepts 2^(numY - r) assignments, so each node
+    on such a path keeps one count: the source starts at 2^numY, and the
+    count follows every edge that agrees with x, halved at each y read.
+    The halving is exact, since every prefix reaching y_j has read fewer
+    than j bits.
     """
     if len(x) != p.num_x:
         raise CountingError("width-mismatch", f"|x| = {len(x)}, numX = {p.num_x}")
@@ -433,36 +419,18 @@ def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
             "not-deterministic", "a node offers two edges for one bit value"
         )
     # Certified bands rule out decreasing reads, so this refuses exactly repeated ones.
-    _check_increasing_reads(p, "precondition-violated")
+    upto = _check_increasing_reads(p, "precondition-violated")
 
     out = p.out_edges()
-    counts: dict[int, dict[int, int]] = {p.source: {1: 1}}
-    for layer in p.layers:
-        for u in layer:
-            if u not in counts or u == p.sink:
-                continue
-            label = p.label_of(u)
-            for v, bit in out.get(u, []):
-                target = counts.setdefault(v, {})
-                for j, cnt in counts[u].items():
-                    if label[0] == "x":
-                        if x[label[1] - 1] != bit:
-                            continue
-                        target[j] = target.get(j, 0) + cnt
-                    elif label[0] == "y":
-                        jp = label[1]
-                        if jp < j:
-                            # A certified program only lets this happen on
-                            # branches that cannot reach the sink.
-                            continue
-                        key = jp + 1
-                        target[key] = target.get(key, 0) + cnt * 2 ** (jp - j)
-                    else:
-                        target[j] = target.get(j, 0) + cnt
-    total = 0
-    for j, cnt in counts.get(p.sink, {}).items():
-        total += cnt * 2 ** (p.num_y - j + 1)
-    return total
+    counts = dict.fromkeys(upto, 0)
+    counts[p.source] = 2 ** p.num_y
+    for u in upto:
+        label = p.label_of(u)
+        share = counts[u] // 2 if label[0] == "y" else counts[u]
+        for v, bit in out.get(u, []):
+            if v in counts and (label[0] != "x" or x[label[1] - 1] == bit):
+                counts[v] += share
+    return counts.get(p.sink, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,10 @@ def _graph(mod, args, started):
 
 
 def _mc(fom, args, started):
-    try:  # JSON decoding, formula_node_from_json and QFFormula all recurse
+    try:  # JSON decoding, formula_node_from_json, QFFormula and the re-encoding all recurse
         phi = fom.formula_from_json(_load_json(args.formula))
+        formula_text = json.dumps(fom.formula_node_to_json(phi.root),
+                                  sort_keys=True, separators=(",", ":"))
     except RecursionError:
         raise CountingError("formula-too-deep", f"{args.formula} nests too deeply to read")
     structure = fom.structure_from_json(_load_json(args.structure))
@@ -209,7 +211,7 @@ def _mc(fom, args, started):
         count = fom.count_mc_local(phi, structure, args.k, r, fom.max_arity(phi))
     else:
         count = fom.count_mc(phi, structure, args.k, args.limit)
-    payload = {"formula": fom.formula_node_to_json(phi.root),
+    payload = {"formula": formula_text,
                "structure": fom.structure_to_json(structure), "k": args.k}
     _report(count, args.k != phi.size, started, payload)
 

@@ -3,9 +3,9 @@
 The module measures formulas (size = syntax-tree node count, locality
 radius over the depth-first atom order, maximal relation arity) and counts
 satisfying assignments to the free variables two ways: a brute-force
-enumeration over all tuples (the reference oracle) and a frontier sweep
-that only ever keeps the variables bound in the last r atoms alive, as the
-locality bound permits.
+enumeration over all tuples (the reference oracle) and a frontier sweep,
+run by ``walks.propagate`` one atom per move, that only ever keeps the
+variables bound in the last r atoms alive, as the locality bound permits.
 
 Free variables are ordered by first occurrence in the order-respecting
 depth-first traversal; the counted set is the set of tuples over that
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
+from .walks import propagate
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +316,8 @@ class _StreamEvaluator:
     """Evaluates the tree from a stream of atom truth values in DFS order.
 
     A state is a tuple of frames (node_serial, next_child, acc); feeding the
-    final atom's value collapses the stack to ("done", value).  The stack
-    depth is bounded by the tree depth, so states are small hashable keys.
+    final atom's value collapses the stack to the formula's truth value.  The
+    stack depth is bounded by the tree depth, so states are small hashable keys.
     """
 
     def __init__(self, phi: QFFormula):
@@ -343,8 +344,8 @@ class _StreamEvaluator:
         self._descend(frames, self.root)
         return tuple(frames)
 
-    def feed(self, state: tuple, value: bool):
-        """Returns ("state", next_state) or ("done", final_value)."""
+    def feed(self, state: tuple, value: bool) -> tuple | bool:
+        """The next state, or the formula's value after the last atom."""
         frames = list(state)
         cur = value
         while frames:
@@ -361,8 +362,8 @@ class _StreamEvaluator:
                 continue
             frames.append((serial, child_idx, acc))
             self._descend(frames, node.children[child_idx])
-            return ("state", tuple(frames))
-        return ("done", cur)
+            return tuple(frames)
+        return cur
 
 
 def count_mc_local(
@@ -370,11 +371,12 @@ def count_mc_local(
 ) -> int:
     """Same value as count_mc, computed by a frontier sweep.
 
-    Walks the atoms in DFS order keeping a table keyed by (assignment to the
-    live variables, partial evaluation state).  A variable becomes live at
-    its first atom and is discharged once r further atoms have passed, which
-    is sound because the formula is r-local; the table therefore holds
-    assignments to at most a*r variables at a time.
+    Runs ``walks.propagate`` over states (atom index, assignment to the live
+    variables, partial evaluation state), one move per atom in DFS order;
+    the last atom's move lands on the formula's value, True or False.  A
+    variable becomes live at its first atom and is discharged once r further
+    atoms have passed, which is sound because the formula is r-local; a
+    state therefore holds assignments to at most a*r variables.
     """
     actual_r = locality_radius(phi)
     if actual_r > r:
@@ -397,36 +399,25 @@ def count_mc_local(
 
     evaluator = _StreamEvaluator(phi)
     universe = range(structure.universe_size)
-    # table: (sorted live assignment items, eval state) -> count
-    table: dict[tuple[tuple, tuple], int] = {((), evaluator.initial_state()): 1}
-    done: dict[bool, int] = {True: 0, False: 0}
+    last = len(phi.atoms) - 1
 
-    for idx, atom in enumerate(phi.atoms):
-        needed = atom_variables(atom)
-        new_table: dict[tuple[tuple, tuple], int] = {}
-        for (live_items, state), cnt in table.items():
-            live = dict(live_items)
-            fresh = [v for v in needed if v not in live]
-            for values in itertools.product(universe, repeat=len(fresh)):
-                assignment = dict(live)
-                assignment.update(zip(fresh, values))
-                truth = eval_atom(atom, assignment, structure)
-                kind, nxt = evaluator.feed(state, truth)
-                kept = tuple(
-                    sorted(
-                        (v, val)
-                        for v, val in assignment.items()
-                        if first_occ[v] + r > idx
-                    )
-                )
-                if kind == "done":
-                    done[nxt] += cnt
-                else:
-                    key = (kept, nxt)
-                    new_table[key] = new_table.get(key, 0) + cnt
-        table = new_table
-    assert not table, "stream evaluator must finish with the last atom"
-    return done[True]
+    def step(state: tuple):
+        idx, live_items, eval_state = state
+        atom = phi.atoms[idx]
+        live = dict(live_items)
+        fresh = [v for v in atom_variables(atom) if v not in live]
+        for values in itertools.product(universe, repeat=len(fresh)):
+            assignment = dict(live)
+            assignment.update(zip(fresh, values))
+            after = evaluator.feed(eval_state, eval_atom(atom, assignment, structure))
+            if idx == last:
+                yield after
+            else:
+                kept = (item for item in assignment.items() if first_occ[item[0]] + r > idx)
+                yield (idx + 1, tuple(sorted(kept)), after)
+
+    start = {(0, (), evaluator.initial_state()): 1}
+    return propagate(start, len(phi.atoms), step).get(True, 0)
 
 
 # ---------------------------------------------------------------------------

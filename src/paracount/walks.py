@@ -1,6 +1,7 @@
 """The unconstrained walk counters, each with its output gate, and the one
 frontier propagation that every walk counter (here and in ``cnf``) runs;
-``pdet`` runs it too, over the configurations of the clow machines.
+``pdet`` runs it too, over the configurations of the clow machines, and
+``fo`` over the states of the locality sweep.
 
 Length conventions (fixed once, used consistently by every reduction):
 
@@ -34,7 +35,7 @@ def log_gate_passes(a: int, k: int, size_term: int) -> bool:
 
 def propagate(start: dict, steps: int, step: Callable) -> dict:
     """Map each state to the number of ``steps``-move paths from the ``start``
-    counts that end in it; ``step(state)`` lists the next states."""
+    counts that end in it; ``step(state)`` yields or lists the next states."""
     counts = start
     for _ in range(steps):
         nxt: dict = {}

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -330,6 +331,9 @@ def test_read_order_checks_match_path_enumeration():
             code = refusal_code(bp_count_fast, p, [0] * p.num_x)
             assert code == ("precondition-violated" if read_twice else None)
             seen["fast"].add(code)
+            if code is None:
+                for x in itertools.product((0, 1), repeat=p.num_x):
+                    assert bp_count_fast(p, x) == bp_count_acc(p, x)
     # Both outcomes of both checks were reached.
     assert seen == {
         "stagger": {None, "order-property-violated"},

@@ -25,6 +25,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(script):
+    """Stdout of ``script`` run by a new interpreter that imports this paracount."""
+    env = {**os.environ, "PYTHONPATH": str(Path(paracount.__file__).resolve().parent.parent)}
+    env.pop("PARACOUNT_LIMIT", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def not_chain(depth):
+    """A formula file: ``depth`` nested nots over P(x)."""
+    return ('{"op": "not", "args": [' * depth + '{"atom": "P", "args": [{"var": "x"}]}'
+            + "]}" * depth)
+
+
 def test_reach_diamond(tmp_path, capsys):
     graph = write(tmp_path, "diamond.json", DIAMOND)
     code, out, _ = run(capsys, "reach", "--graph", graph, "--k", "3")
@@ -412,16 +429,36 @@ def test_deeply_nested_file_is_domain_error(tmp_path, capsys):
     )
     formula = tmp_path / "deep.json"
     for depth in (600, 1500):
-        formula.write_text(
-            '{"op": "not", "args": [' * depth
-            + '{"atom": "P", "args": [{"var": "x"}]}'
-            + "]}" * depth
-        )
+        formula.write_text(not_chain(depth))
         for local in ((), ("--local",)):
             code, out, err = run(capsys, "mc", "--formula", str(formula), "--structure",
                                  structure, "--k", str(depth + 1), *local)
             assert code == 1 and "formula-too-deep" in err and out == ""
             assert "Traceback" not in err
+    # Near the reader's own limit a formula is either counted and reported or
+    # refused as too deep, never read and then refused while reporting.  A
+    # fresh process keeps the stack as shallow as a command-line run.
+    runs = []
+    for depth in range(485, 501):
+        path = tmp_path / f"deep{depth}.json"
+        path.write_text(not_chain(depth))
+        for local in ([], ["--local"]):
+            runs.append(["mc", "--formula", str(path), "--structure", structure,
+                         "--k", str(depth + 1), *local])
+    outcomes = json.loads(fresh_python(
+        "import contextlib, io, json\n"
+        "from paracount.cli import main\n"
+        "outcomes = []\n"
+        f"for argv in {runs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        outcomes.append([main(argv), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(outcomes))\n"
+    ))
+    for code, out, err in outcomes:
+        counted = code == 0 and json.loads(out)["count"] == "1"
+        assert counted or (code == 1 and "formula-too-deep" in err and out == ""), err
+    assert any(code == 0 for code, _, _ in outcomes)
     # Any other file nested past the recursion limit is refused alike.
     graph = tmp_path / "deep-graph.json"
     graph.write_text('{"n": 2, "edges": ' + "[" * 1500 + "]" * 1500 + "}")
@@ -534,13 +571,7 @@ def test_reach_process_loads_only_the_walk_modules(tmp_path):
         f"counted = main(['reach', '--graph', {graph!r}, '--k', '3'])\n"
         "print(json.dumps([refused, after_refusal, counted, sorted(sys.modules)]))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(paracount.__file__).resolve().parent.parent)}
-    env.pop("PARACOUNT_LIMIT", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    report, modules = proc.stdout.splitlines()
+    report, modules = fresh_python(script).splitlines()
     refused, after_refusal, counted, loaded = json.loads(modules)
     assert (refused, counted, json.loads(report)["count"]) == (1, 0, "2")
     assert "hashlib" not in after_refusal  # only a report needs the digest
