@@ -151,13 +151,21 @@ def _bit_of(label: Label, x: Sequence[int], y: Sequence[int]) -> int | None:
     return None
 
 
-def bp_accepts(p: BranchingProgram, x: Sequence[int], y: Sequence[int]) -> bool:
-    """True iff some source-to-sink path is consistent with (x, y)."""
-    if len(x) != p.num_x or len(y) != p.num_y:
+def _check_widths(p: BranchingProgram, x_width: int, y_width: int) -> None:
+    if x_width != p.num_x or y_width != p.num_y:
         raise CountingError(
             "width-mismatch",
-            f"got |x| = {len(x)}, |y| = {len(y)}, expected {p.num_x}, {p.num_y}",
+            f"got |x| = {x_width}, |y| = {y_width}, expected {p.num_x}, {p.num_y}",
         )
+
+
+def bp_accepts(p: BranchingProgram, x: Sequence[int], y: Sequence[int]) -> bool:
+    """True iff some source-to-sink path is consistent with (x, y)."""
+    _check_widths(p, len(x), len(y))
+    return _accepts(p, x, y)
+
+
+def _accepts(p: BranchingProgram, x: Sequence[int], y: Sequence[int]) -> bool:
     out = p.out_edges()
     reachable = {p.source}
     for layer in p.layers:
@@ -185,10 +193,11 @@ def bp_count_acc(
             "not-deterministic", "a node offers two edges for one bit value"
         )
     check_limit(2 ** p.num_y, limit, f"y assignments (2^{p.num_y})")
+    _check_widths(p, len(x), p.num_y)
     count = 0
     for mask in range(2 ** p.num_y):
         y = [(mask >> j) & 1 for j in range(p.num_y)]
-        if bp_accepts(p, x, y):
+        if _accepts(p, x, y):
             count += 1
     return count
 

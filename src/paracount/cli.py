@@ -34,9 +34,18 @@ def _read(path: str) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(_read(path))
+        obj = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise CountingError("malformed-json", f"{path}: {exc}")
+    # Newer decoders read past the recursion limit; refuse such documents as older ones do.
+    level = [obj] if isinstance(obj, (dict, list)) else []
+    for _ in range(sys.getrecursionlimit()):
+        level = [child for item in level
+                 for child in (item.values() if isinstance(item, dict) else item)
+                 if isinstance(child, (dict, list))]
+        if not level:
+            return obj
+    raise RecursionError(f"{path} nests deeper than the recursion limit")
 
 
 def _digest(payload) -> str:
@@ -199,7 +208,7 @@ def _graph(mod, args, started):
 
 
 def _mc(fom, args, started):
-    try:  # JSON decoding, formula_node_from_json, QFFormula and the re-encoding all recurse
+    try:  # reading, formula_node_from_json and the re-encoding may raise RecursionError
         phi = fom.formula_from_json(_load_json(args.formula))
         formula_text = json.dumps(fom.formula_node_to_json(phi.root),
                                   sort_keys=True, separators=(",", ":"))

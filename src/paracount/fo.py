@@ -1,15 +1,15 @@
 """Quantifier-free first-order formulas over finite relational structures.
 
-The module measures formulas (size = syntax-tree node count, locality
-radius over the depth-first atom order, maximal relation arity) and counts
-satisfying assignments to the free variables two ways: a brute-force
-enumeration over all tuples (the reference oracle) and a frontier sweep,
-run by ``walks.propagate`` one atom per move, that only ever keeps the
-variables bound in the last r atoms alive, as the locality bound permits.
-
-Free variables are ordered by first occurrence in the order-respecting
-depth-first traversal; the counted set is the set of tuples over that
-ordering that satisfy the formula.
+A formula is walked once, depth first, into its atoms, each atom's path of
+connective ancestors and each variable's span (first and last atom).  The
+measures (size = syntax-tree node count, locality radius over the atom
+order, maximal relation arity) and the free variables, ordered by first
+occurrence, are read from these.  Satisfying assignments, tuples over that
+ordering, are counted two ways: a brute-force enumeration over all tuples
+(the reference oracle, with its own recursive evaluation) and a frontier
+sweep, run by ``walks.propagate`` one atom per move, whose state keeps only
+the variables whose span is open, as the locality bound permits, and the
+accumulators of the atom's open and/or ancestors.
 """
 from __future__ import annotations
 
@@ -149,49 +149,47 @@ class Connective:
 Node = Union[Atom, Eq, Connective]
 
 _CONNECTIVES = {"and", "or", "not"}
+_Path = tuple[tuple[str, int, int], ...]  # (op, child position, child count), root first
 
 
 class QFFormula:
-    """A validated quantifier-free formula with derived DFS atom order."""
+    """A validated quantifier-free formula: its atoms in depth-first order,
+    each atom's ancestor ``path`` and each variable's first and last atom
+    (``spans``, in first-occurrence order), from one iterative walk."""
 
     def __init__(self, root: Node):
         self.root = root
+        self.size = 0  # syntax-tree nodes: connectives plus atoms
         self.atoms: list[Atom | Eq] = []
-        self._node_count = 0
-        self._validate(root)
+        self.paths: list[_Path] = []
+        self.spans: dict[str, tuple[int, int]] = {}
+        stack: list[tuple[Node, _Path]] = [(root, ())]
+        while stack:
+            node, path = stack.pop()
+            self.size += 1
+            if isinstance(node, Connective):
+                if node.op not in _CONNECTIVES:
+                    raise CountingError("bad-connective", f"unknown op {node.op!r}")
+                if node.op == "not" and len(node.children) != 1:
+                    raise CountingError("bad-connective", "not takes exactly one child")
+                if node.op in ("and", "or") and len(node.children) == 0:
+                    raise CountingError(
+                        "no-atoms", f"{node.op} over nothing is rejected"
+                    )
+                count = len(node.children)
+                for pos in reversed(range(count)):
+                    stack.append((node.children[pos], (*path, (node.op, pos, count))))
+            elif isinstance(node, (Atom, Eq)):
+                idx = len(self.atoms)
+                self.atoms.append(node)
+                self.paths.append(path)
+                for var in atom_variables(node):
+                    self.spans[var] = (self.spans.get(var, (idx,))[0], idx)
+            else:
+                raise CountingError("bad-node", f"unsupported node {node!r}")
         if not self.atoms:
             raise CountingError("no-atoms", "formula has no atoms")
-        self.free_variables: tuple[str, ...] = self._first_occurrence_order()
-
-    def _validate(self, node: Node) -> None:
-        self._node_count += 1
-        if isinstance(node, Connective):
-            if node.op not in _CONNECTIVES:
-                raise CountingError("bad-connective", f"unknown op {node.op!r}")
-            if node.op == "not" and len(node.children) != 1:
-                raise CountingError("bad-connective", "not takes exactly one child")
-            if node.op in ("and", "or") and len(node.children) == 0:
-                raise CountingError(
-                    "no-atoms", f"{node.op} over nothing is rejected"
-                )
-            for child in node.children:
-                self._validate(child)
-        elif isinstance(node, (Atom, Eq)):
-            self.atoms.append(node)
-        else:
-            raise CountingError("bad-node", f"unsupported node {node!r}")
-
-    def _first_occurrence_order(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for atom in self.atoms:
-            for term in _atom_terms(atom):
-                if isinstance(term, Var) and term.name not in seen:
-                    seen.append(term.name)
-        return tuple(seen)
-
-    @property
-    def size(self) -> int:
-        return self._node_count
+        self.free_variables: tuple[str, ...] = tuple(self.spans)
 
 
 def _atom_terms(atom: Atom | Eq) -> tuple[Term, ...]:
@@ -214,14 +212,7 @@ def formula_size(phi: QFFormula) -> int:
 def locality_radius(phi: QFFormula) -> int:
     """Least r such that any two atoms sharing a variable are <= r apart
     in the depth-first atom order; 0 when no variable spans two atoms."""
-    occurrences: dict[str, list[int]] = {}
-    for idx, atom in enumerate(phi.atoms):
-        for var in atom_variables(atom):
-            occurrences.setdefault(var, []).append(idx)
-    radius = 0
-    for positions in occurrences.values():
-        radius = max(radius, positions[-1] - positions[0])
-    return radius
+    return max((last - first for first, last in phi.spans.values()), default=0)
 
 
 def max_arity(phi: QFFormula) -> int:
@@ -312,58 +303,30 @@ def count_mc(
 # ---------------------------------------------------------------------------
 
 
-class _StreamEvaluator:
-    """Evaluates the tree from a stream of atom truth values in DFS order.
+def _opened(path: _Path) -> tuple[bool, ...]:
+    """Identity accumulators (True for and, False for or) of the and/or
+    ancestors an atom is the first to reach: those below the deepest
+    ancestor it enters at a later child than the first."""
+    start = max((depth + 1 for depth, (_, pos, _) in enumerate(path) if pos), default=0)
+    return tuple(op == "and" for op, _, _ in path[start:] if op != "not")
 
-    A state is a tuple of frames (node_serial, next_child, acc); feeding the
-    final atom's value collapses the stack to the formula's truth value.  The
-    stack depth is bounded by the tree depth, so states are small hashable keys.
-    """
 
-    def __init__(self, phi: QFFormula):
-        self._serial: dict[int, int] = {}
-        self._nodes: list[Node] = []
-        self._index(phi.root)
-        self.root = phi.root
-
-    def _index(self, node: Node) -> None:
-        self._serial[id(node)] = len(self._nodes)
-        self._nodes.append(node)
-        if isinstance(node, Connective):
-            for child in node.children:
-                self._index(child)
-
-    def _descend(self, frames: list, node: Node) -> None:
-        while isinstance(node, Connective):
-            acc = node.op == "and"  # identity element; unused for "not"
-            frames.append((self._serial[id(node)], 0, acc))
-            node = node.children[0]
-
-    def initial_state(self) -> tuple:
-        frames: list = []
-        self._descend(frames, self.root)
-        return tuple(frames)
-
-    def feed(self, state: tuple, value: bool) -> tuple | bool:
-        """The next state, or the formula's value after the last atom."""
-        frames = list(state)
-        cur = value
-        while frames:
-            serial, child_idx, acc = frames.pop()
-            node = self._nodes[serial]
-            assert isinstance(node, Connective)
-            if node.op == "not":
-                cur = not cur
-                continue
-            acc = (acc and cur) if node.op == "and" else (acc or cur)
-            child_idx += 1
-            if child_idx == len(node.children):
-                cur = acc
-                continue
-            frames.append((serial, child_idx, acc))
-            self._descend(frames, node.children[child_idx])
-            return tuple(frames)
-        return cur
+def _feed(path: _Path, accs: tuple, value: bool, opened_next: tuple) -> tuple | bool:
+    """Pass an atom's value up its path: ``not`` negates it, and/or fold it
+    into their accumulator (the last of ``accs`` still open).  At a child that
+    is not the last, the open accumulators plus those the next atom's path
+    opens are the next state; past the root the value is the formula's."""
+    open_count = len(accs)
+    for op, pos, count in reversed(path):
+        if op == "not":
+            value = not value
+            continue
+        open_count -= 1
+        acc = accs[open_count]
+        value = (acc and value) if op == "and" else (acc or value)
+        if pos + 1 < count:
+            return (*accs[:open_count], value, *opened_next)
+    return value
 
 
 def count_mc_local(
@@ -372,11 +335,12 @@ def count_mc_local(
     """Same value as count_mc, computed by a frontier sweep.
 
     Runs ``walks.propagate`` over states (atom index, assignment to the live
-    variables, partial evaluation state), one move per atom in DFS order;
-    the last atom's move lands on the formula's value, True or False.  A
-    variable becomes live at its first atom and is discharged once r further
-    atoms have passed, which is sound because the formula is r-local; a
-    state therefore holds assignments to at most a*r variables.
+    variables, accumulators of the open and/or ancestors), one move per atom
+    in DFS order; the last atom's move lands on the formula's value, True or
+    False.  A variable becomes live at its first atom and is discharged after
+    its last, at most r atoms later as the formula is r-local; a state
+    therefore holds assignments to at most w*r variables, w the most distinct
+    variables in one atom (an equality binds two, whatever the arity a).
     """
     actual_r = locality_radius(phi)
     if actual_r > r:
@@ -392,31 +356,26 @@ def count_mc_local(
         return 0
     check_signature(phi, structure)
 
-    first_occ: dict[str, int] = {}
-    for idx, atom in enumerate(phi.atoms):
-        for var in atom_variables(atom):
-            first_occ.setdefault(var, idx)
-
-    evaluator = _StreamEvaluator(phi)
+    opened = [_opened(path) for path in phi.paths] + [()]
     universe = range(structure.universe_size)
     last = len(phi.atoms) - 1
 
     def step(state: tuple):
-        idx, live_items, eval_state = state
-        atom = phi.atoms[idx]
+        idx, live_items, accs = state
+        atom, path, opened_next = phi.atoms[idx], phi.paths[idx], opened[idx + 1]
         live = dict(live_items)
         fresh = [v for v in atom_variables(atom) if v not in live]
         for values in itertools.product(universe, repeat=len(fresh)):
             assignment = dict(live)
             assignment.update(zip(fresh, values))
-            after = evaluator.feed(eval_state, eval_atom(atom, assignment, structure))
+            after = _feed(path, accs, eval_atom(atom, assignment, structure), opened_next)
             if idx == last:
                 yield after
             else:
-                kept = (item for item in assignment.items() if first_occ[item[0]] + r > idx)
+                kept = (item for item in assignment.items() if phi.spans[item[0]][1] > idx)
                 yield (idx + 1, tuple(sorted(kept)), after)
 
-    start = {(0, (), evaluator.initial_state()): 1}
+    start = {(0, (), opened[0]): 1}
     return propagate(start, len(phi.atoms), step).get(True, 0)
 
 

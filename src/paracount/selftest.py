@@ -323,6 +323,19 @@ def all_walks(g: DirectedGraph, a: int) -> list[tuple[int, ...]]:
     return walks
 
 
+def st_walks(inst: tuple[DirectedGraph, int, int, int]) -> int:
+    """s-t walks with k vertices in inst = (graph, s, t, k), by enumeration."""
+    g, s, t, k = inst
+    return len(enumerate_walks(g, s, t, k - 1))
+
+
+def colour_walks(inst: tuple[VertexColouring, int, int, int]) -> int:
+    """s-t walks with k vertices whose i-th vertex has colour i, by filtering."""
+    vc, s, t, k = inst
+    return sum(all(vc.colour_of(v) == i + 1 for i, v in enumerate(w))
+               for w in enumerate_walks(vc.graph, s, t, k - 1))
+
+
 def walk_edge_ids(g: DirectedGraph, walk: tuple[int, ...]) -> set[int]:
     ids = {(u, v): i for i, (u, v) in enumerate(g.edges)}
     return {ids[(walk[i], walk[i + 1])] for i in range(len(walk) - 1)}
@@ -456,7 +469,7 @@ def check_walk_counters(rng: random.Random, scale: Scale) -> list[str]:
             failures.append(f"trial {trial}: gate not monotone in k")
 
         kv = rng.randint(0, 7)
-        expected = len(enumerate_walks(g, s, t, kv - 1)) if kv >= 1 else 0
+        expected = st_walks((g, s, t, kv)) if kv >= 1 else 0
         if wkm.count_reach(g, s, t, kv) != expected:
             failures.append(f"trial {trial}: count_reach mismatch (k={kv})")
         if kv >= 2:  # recurrence over the last step
@@ -472,18 +485,8 @@ def check_walk_counters(rng: random.Random, scale: Scale) -> list[str]:
         queried_k = ck if rng.random() < 0.7 else ck + rng.choice([-1, 1])
         if queried_k < 0:
             queried_k = 0
-        got = wkm.count_reach_colour(vc, cs, ct, queried_k)
-        if queried_k != vc.m:
-            expected_c = 0
-        else:
-            expected_c = len(
-                [
-                    w
-                    for w in enumerate_walks(vc.graph, cs, ct, ck - 1)
-                    if all(vc.colour_of(v) == i + 1 for i, v in enumerate(w))
-                ]
-            )
-        if got != expected_c:
+        expected_c = colour_walks((vc, cs, ct, ck)) if queried_k == vc.m else 0
+        if wkm.count_reach_colour(vc, cs, ct, queried_k) != expected_c:
             failures.append(f"trial {trial}: count_reach_colour mismatch")
     # Disjoint-union additivity on a fixed pair of random graphs.
     g1 = rand_graph(rng, 4)
@@ -638,20 +641,10 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
         rand_coloured_instance(rng, hom_safe=True) for _ in range(count)
     ]
 
-    def colour_oracle(inst) -> int:
-        vc, s, t, k = inst
-        return len(
-            [
-                w
-                for w in enumerate_walks(vc.graph, s, t, k - 1)
-                if all(vc.colour_of(v) == i + 1 for i, v in enumerate(w))
-            ]
-        )
-
     report = redm.verify_parsimonious(
         records["reachcolour-to-hom"],
         colour_instances,
-        colour_oracle,
+        colour_walks,
         lambda out: homm.count_hom_oracle(out[0].structure, out[1]),
     )
     failures += [f"reachcolour-to-hom: {row}" for row in report.failures()]
@@ -667,7 +660,7 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
     report = redm.verify_parsimonious(
         records["reach-to-mc"],
         mc_instances,
-        lambda inst: len(enumerate_walks(inst[0], inst[1], inst[2], inst[3] - 1)),
+        st_walks,
         lambda out: fom.count_mc(out[0], out[1], out[2]),
     )
     failures += [f"reach-to-mc: {row}" for row in report.failures()]
@@ -684,7 +677,7 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
     report = redm.verify_parsimonious(
         records["reach-to-pdet"],
         pdet_instances,
-        lambda inst: len(enumerate_walks(inst[0], inst[1], inst[2], inst[3] - 1)),
+        st_walks,
         lambda out: out[2] * pdm.pdet_direct(out[0], out[1]),
     )
     failures += [f"reach-to-pdet: {row}" for row in report.failures()]
@@ -702,7 +695,7 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
     report = redm.verify_parsimonious(
         broken,
         probe,
-        lambda inst: len(enumerate_walks(inst[0], inst[1], inst[2], inst[3] - 1)),
+        st_walks,
         lambda out: wkm.count_reach(out[0], out[1], out[2], out[3]),
     )
     if report.all_pass:

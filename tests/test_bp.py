@@ -74,9 +74,11 @@ def test_accepts_y_root():
 
 
 def test_width_mismatch():
-    with pytest.raises(CountingError) as err:
-        bp_accepts(simple_x_tester(), [1, 0], [])
-    assert err.value.code == "width-mismatch"
+    for run in (lambda p, x: bp_accepts(p, x, []), bp_count_acc):
+        with pytest.raises(CountingError) as err:
+            run(simple_x_tester(), [1, 0])
+        assert err.value.code == "width-mismatch"
+        assert err.value.message == "got |x| = 2, |y| = 0, expected 1, 0"
 
 
 def test_count_acc_examples():

@@ -1,10 +1,14 @@
-"""Property tests: the locality sweep against the brute-force count, and the
-one-count-per-node branching-program counter against y enumeration."""
+"""Property tests: the locality sweep against the brute-force count, with at
+most w*r variables live in each state, and the one-count-per-node
+branching-program counter against y enumeration."""
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paracount import fo
 from paracount.bp import bp_count_acc, bp_count_fast, stagger, validate_bp
 from paracount.fo import (
     Atom,
@@ -15,11 +19,15 @@ from paracount.fo import (
     RelationalStructure,
     Var,
     Vocabulary,
+    atom_variables,
     count_mc,
     count_mc_local,
     locality_radius,
     max_arity,
 )
+from paracount.reductions import reduce_reach_to_mc
+from paracount.selftest import rand_graph
+from paracount.walks import count_reach, propagate
 
 VOCAB = Vocabulary((("P", 1), ("E", 2)), ("c",))
 TERMS = st.one_of(st.sampled_from("xyzw").map(Var), st.just(ConstRef("c")))
@@ -54,12 +62,43 @@ def formula_and_structure(draw):
     return QFFormula(draw(NODES)), structure
 
 
+def sweep_with_live_bound(phi, structure, k):
+    """count_mc_local at the formula's own radius, after checking that every
+    state the sweep visits keeps at most w*r variables live, w the most
+    distinct variables in one atom."""
+    r = locality_radius(phi)
+    bound = max(len(atom_variables(atom)) for atom in phi.atoms) * r
+    live = []
+
+    def spy(start, steps, step):
+        def recorded(state):
+            live.append(len(state[1]))
+            return step(state)
+        return propagate(start, steps, recorded)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fo, "propagate", spy)
+        count = count_mc_local(phi, structure, k, r, max_arity(phi))
+    assert live and max(live) <= bound
+    return count
+
+
 @settings(max_examples=300, deadline=None)
 @given(formula_and_structure())
 def test_locality_sweep_matches_brute_force(case):
     phi, structure = case
-    local = count_mc_local(phi, structure, phi.size, locality_radius(phi), max_arity(phi))
+    local = sweep_with_live_bound(phi, structure, phi.size)
     assert local == count_mc(phi, structure, phi.size)
+
+
+def test_walk_formula_sweep_keeps_at_most_two_variables_live():
+    rng = random.Random(11)
+    for _ in range(40):
+        g = rand_graph(rng, 7, max_out=3)
+        s, t, k = rng.randrange(g.n), rng.randrange(g.n), rng.randint(2, 8)
+        phi, structure, kp = reduce_reach_to_mc(g, s, t, k)
+        assert locality_radius(phi) == 1  # so w*r is 2
+        assert sweep_with_live_bound(phi, structure, kp) == count_reach(g, s, t, k)
 
 
 @st.composite
