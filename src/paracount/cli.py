@@ -16,8 +16,8 @@ import os
 import sys
 import time
 
-from .errors import DEFAULT_LIMIT, CountingError, read_int
-from .graphs import graph_from_json, graph_to_json
+from .errors import DEFAULT_LIMIT, CountingError
+from .graphs import graph_from_json
 
 #: The keys of `reductions.standard_records()`, spelt out so that building
 #: the parser imports no counting module (a test keeps the two equal).
@@ -228,10 +228,9 @@ def _mc(fom, args, started):
 def _hom(homm, args, started):
     from . import fo as fom  # already loaded by homs
     target = fom.structure_from_json(_load_json(args.target))
-    if args.oracle:
-        pattern = homm.make_path_star(args.n).structure
-        count = homm.count_hom_oracle(pattern, target, args.limit) if args.n <= args.k else 0
-    else:
+    if args.oracle and args.n <= args.k:
+        count = homm.count_hom_oracle(homm.make_path_star(args.n).structure, target, args.limit)
+    else:  # the layered route, which also answers the gate (n > k) after its pattern checks
         count = homm.count_hom_path_star(args.n, target, args.k)
     payload = {"n": args.n, "k": args.k, "target": fom.structure_to_json(target)}
     _report(count, args.n > args.k, started, payload)
@@ -259,48 +258,14 @@ def _bp(bpm, args, started):
 
 
 def _reduce(redm, args, started):
-    from . import fo as fom, pdet as pdm  # already loaded by reductions
-    obj = _load_json(args.infile)
-    name = args.name
-
-    def num(key: str) -> int:
-        return read_int(obj[key], key)
-
-    if name == "hom-to-reach":
-        target = fom.structure_from_json(obj["target"])
-        graph, s, t, kp = redm.reduce_hom_to_reach(num("n"), target, num("k"))
-        out = graph_to_json(graph, s=s, t=t)
-        sidecar = {"name": name, "kPrime": kp}
-    elif name == "reachcolour-to-hom":
-        parts = graph_from_json(obj["graph"])
-        pattern, target, kp = redm.reduce_reach_colour_to_hom(
-            parts["colouring"], num("s"), num("t"), num("k")
-        )
-        out = fom.structure_to_json(target)
-        sidecar = {"name": name, "kPrime": kp, "patternN": pattern.n}
-    elif name == "reach-to-mc":
-        parts = graph_from_json(obj["graph"])
-        phi, structure, kp = redm.reduce_reach_to_mc(
-            parts["graph"], num("s"), num("t"), num("k")
-        )
-        out = {
-            "formula": fom.formula_node_to_json(phi.root),
-            "structure": fom.structure_to_json(structure),
-        }
-        sidecar = {"name": name, "kPrime": kp}
-    else:  # reach-to-pdet
-        parts = graph_from_json(obj["graph"])
-        matrix, kp, sign = redm.reduce_reach_to_pdet(
-            parts["graph"], num("s"), num("t"), num("k")
-        )
-        out = pdm.matrix_to_json(matrix)
-        sidecar = {"name": name, "kPrime": kp, "recoverySign": sign}
-    with open(args.outfile, "w", encoding="utf-8") as handle:
-        json.dump(out, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    with open(args.outfile + ".record.json", "w", encoding="utf-8") as handle:
-        json.dump(sidecar, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    record = redm.standard_records()[args.name]
+    transformed = record.transform(record.read(_load_json(args.infile)))
+    out, extra = record.write(transformed)
+    sidecar = {"name": record.name, "kPrime": record.param_of(transformed), **extra}
+    for path, doc in ((args.outfile, out), (args.outfile + ".record.json", sidecar)):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=1, sort_keys=True)
+            handle.write("\n")
     print(json.dumps({**sidecar, "out": args.outfile}))
 
 

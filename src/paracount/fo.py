@@ -264,16 +264,39 @@ def eval_atom(
     return tup in structure.interpretation[atom.relation]
 
 
+def _postorder(node: Node) -> list[Node]:
+    """The nodes under ``node`` in post-order, by a stack: depth is not bounded by recursion."""
+    order, stack = [], [node]
+    while stack:
+        order.append(stack.pop())
+        if isinstance(order[-1], Connective):
+            stack += order[-1].children
+    order.reverse()
+    return order
+
+
+def _evaluate_postorder(
+    order: list[Node], assignment: Mapping[str, int], structure: RelationalStructure
+) -> bool:
+    values: list[bool] = []
+    for item in order:
+        if not isinstance(item, Connective):
+            values.append(eval_atom(item, assignment, structure))
+        elif item.op == "not":
+            values[-1] = not values[-1]
+        else:
+            start = len(values) - len(item.children)
+            value = (all if item.op == "and" else any)(values[start:])
+            del values[start:]
+            values.append(value)
+    return values[0]
+
+
 def evaluate(
     node: Node, assignment: Mapping[str, int], structure: RelationalStructure
 ) -> bool:
-    """Recursive formula evaluation (the brute-force oracle's core)."""
-    if isinstance(node, Connective):
-        if node.op == "not":
-            return not evaluate(node.children[0], assignment, structure)
-        values = [evaluate(c, assignment, structure) for c in node.children]
-        return all(values) if node.op == "and" else any(values)
-    return eval_atom(node, assignment, structure)
+    """Formula evaluation (the brute-force oracle's core), with no recursion."""
+    return _evaluate_postorder(_postorder(node), assignment, structure)
 
 
 def count_mc(
@@ -291,9 +314,9 @@ def count_mc(
     check_limit(structure.universe_size ** len(names), limit,
                 f"candidate assignments ({structure.universe_size}^{len(names)})")
     check_signature(phi, structure)
-    total = 0
+    order, total = _postorder(phi.root), 0
     for values in itertools.product(range(structure.universe_size), repeat=len(names)):
-        if evaluate(phi.root, dict(zip(names, values)), structure):
+        if _evaluate_postorder(order, dict(zip(names, values)), structure):
             total += 1
     return total
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import CountingError
-from .fo import Atom, ConstRef, Connective, Eq, QFFormula, RelationalStructure, Var, Vocabulary
-from .graphs import DirectedGraph, VertexColouring, check_vertex
+from .errors import CountingError, read_int, reject_unknown_fields
+from .fo import (Atom, ConstRef, Connective, Eq, QFFormula, RelationalStructure, Var, Vocabulary,
+                 formula_node_to_json, structure_from_json, structure_to_json)
+from .graphs import DirectedGraph, VertexColouring, check_vertex, graph_from_json, graph_to_json
 from .homs import PathStarStructure, build_layered_reach_graph, make_path_star, path_star_vocabulary
-from .pdet import ZeroOneMatrix
+from .pdet import ZeroOneMatrix, matrix_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +146,20 @@ def reduce_reach_to_pdet(
 
 
 def _has_cycle(g: DirectedGraph) -> bool:
-    succ = g.successors()
-    state = [0] * g.n  # 0 fresh, 1 on stack, 2 done
-    for start in range(g.n):
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    return True
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return False
+    """Kahn's peeling: a graph is acyclic iff repeatedly removing the
+    vertices of in-degree 0 removes them all (a self-loop never frees its vertex)."""
+    indegree = [0] * g.n
+    for _, v in g.edges:
+        indegree[v] += 1
+    free = [v for v in range(g.n) if indegree[v] == 0]
+    succ, peeled = g.successors(), 0
+    while free:
+        peeled += 1
+        for v in succ[free.pop()]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                free.append(v)
+    return peeled < g.n
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +169,21 @@ def _has_cycle(g: DirectedGraph) -> bool:
 
 @dataclass(frozen=True)
 class ReductionRecord:
-    """An executable reduction plus its declared parameter bound.
+    """An executable reduction, its parameter bound and its file formats.
 
-    ``transform`` maps a source instance to (target instance, k');
-    ``bound_ok`` numerically checks k' against the declared bound.
+    ``transform`` maps a source instance (an argument tuple) to its output,
+    whose k' ``param_of`` picks out; ``bound_ok`` numerically checks k'
+    against the bound stated at ``standard_records``.  ``read`` turns a
+    `reduce` input document into the source instance, refusing unknown
+    fields; ``write`` turns the output into the target document plus the
+    sidecar fields beyond ``name`` and ``kPrime``.
     """
 
     name: str
-    source_problem: str
-    target_problem: str
-    parameter_bound: str
     transform: Callable
     bound_ok: Callable[[object, int], bool]
+    read: Callable[[object], tuple]
+    write: Callable[[tuple], tuple[object, dict]]
     param_of: Callable[[tuple], int] = lambda transformed: transformed[-1]
 
 
@@ -234,40 +230,57 @@ def verify_parsimonious(
     return report
 
 
+def _reduce_input(obj, allowed: set[str]) -> dict:
+    if not isinstance(obj, dict):
+        raise CountingError("malformed-instance", "reduce input must be a JSON object")
+    reject_unknown_fields(obj, allowed, "reduce input")
+    return obj
+
+
+def _read_hom(obj) -> tuple:
+    """{"n", "k", "target"}; the target is read first."""
+    target = structure_from_json(_reduce_input(obj, {"n", "k", "target"})["target"])
+    return read_int(obj["n"], "n"), target, read_int(obj["k"], "k")
+
+
+def _read_walks(part: str) -> Callable[[object], tuple]:
+    """{"graph", "s", "t", "k"}, handing the transform the graph file's ``part``."""
+    return lambda obj: (
+        graph_from_json(_reduce_input(obj, {"graph", "s", "t", "k"})["graph"])[part],
+        *(read_int(obj[key], key) for key in ("s", "t", "k")))
+
+
 def standard_records() -> dict[str, ReductionRecord]:
-    """The four reductions with their parameter bounds (n+2, k, 2k, k)."""
+    """The four reductions, each with its bound on k'."""
     return {
-        "hom-to-reach": ReductionRecord(
+        "hom-to-reach": ReductionRecord(  # k' = n + 2
             "hom-to-reach",
-            "path-star homomorphism count",
-            "s-t walk count",
-            "k' = n + 2",
             lambda inst: reduce_hom_to_reach(*inst),
             lambda inst, kp: kp == inst[0] + 2,
+            _read_hom,
+            lambda out: (graph_to_json(out[0], s=out[1], t=out[2]), {}),
         ),
-        "reachcolour-to-hom": ReductionRecord(
+        "reachcolour-to-hom": ReductionRecord(  # k' = k
             "reachcolour-to-hom",
-            "colour-respecting walk count",
-            "path-star homomorphism count",
-            "k' = k",
             lambda inst: reduce_reach_colour_to_hom(*inst),
             lambda inst, kp: kp == inst[3],
+            _read_walks("colouring"),
+            lambda out: (structure_to_json(out[1]), {"patternN": out[0].n}),
         ),
-        "reach-to-mc": ReductionRecord(
+        "reach-to-mc": ReductionRecord(  # k' <= 2k
             "reach-to-mc",
-            "s-t walk count",
-            "assignment count",
-            "k' <= 2k",
             lambda inst: reduce_reach_to_mc(*inst),
             lambda inst, kp: kp <= 2 * inst[3],
+            _read_walks("graph"),
+            lambda out: ({"formula": formula_node_to_json(out[0].root),
+                          "structure": structure_to_json(out[1])}, {}),
         ),
-        "reach-to-pdet": ReductionRecord(
+        "reach-to-pdet": ReductionRecord(  # k' = k
             "reach-to-pdet",
-            "s-t walk count on a DAG",
-            "parameterised determinant",
-            "k' = k",
             lambda inst: reduce_reach_to_pdet(*inst),
             lambda inst, kp: kp == inst[3],
+            _read_walks("graph"),
+            lambda out: (matrix_to_json(out[0]), {"recoverySign": out[2]}),
             param_of=lambda transformed: transformed[1],
         ),
     }

@@ -685,11 +685,9 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
     # A deliberately corrupted transform must be caught (mutation test).
     broken = redm.ReductionRecord(
         "broken",
-        "s-t walk count",
-        "s-t walk count",
-        "k' = k",
         lambda inst: (inst[0], inst[1], inst[2], inst[3] + 1),
         lambda inst, kp: kp == inst[3],
+        records["reach-to-mc"].read, records["reach-to-mc"].write,
     )
     probe = [(DirectedGraph(3, ((0, 1), (1, 2))), 0, 2, 3)]
     report = redm.verify_parsimonious(

@@ -228,6 +228,14 @@ def test_hom(tmp_path, capsys):
     assert code == 0 and json.loads(out)["count"] == "1"
 
 
+def test_hom_oracle_refuses_a_wrong_vocabulary_under_the_gate(tmp_path, capsys):
+    target = write(tmp_path, "b.json", {"vocabulary": {"relations": [["E", 2]]},
+                                        "universeSize": 2, "interpretation": {"E": [[0, 1]]}})
+    for route in ((), ("--oracle",)):
+        code, out, err = run(capsys, "hom", "--n", "3", "--target", target, "--k", "2", *route)
+        assert code == 1 and out == "" and err.startswith("error: vocabulary-mismatch:")
+
+
 def test_pdet_methods(tmp_path, capsys):
     matrix = write(tmp_path, "ones2.json", {"n": 2, "rows": [[1, 1], [1, 1]]})
     for method in ("direct", "clow"):
@@ -342,6 +350,23 @@ def test_reduce_reachcolour_to_hom_roundtrip(tmp_path, capsys):
         capsys, "hom", "--n", "3", "--target", outfile, "--k", str(sidecar["kPrime"])
     )
     assert code == 0 and json.loads(out)["count"] == "1"
+
+
+@pytest.mark.parametrize("name", REDUCTIONS)
+def test_reduce_refuses_unknown_fields_and_non_objects(tmp_path, capsys, name):
+    if name == "hom-to-reach":
+        obj = {"n": 2, "k": 2, "target": {"vocabulary": {}, "universeSize": 1}}
+    else:
+        obj = {"graph": {"n": 3, "edges": [[0, 1], [1, 2]], "colours": [1, 2, 3]},
+               "s": 0, "t": 2, "k": 3}
+    outfile = tmp_path / "out.json"
+    for doc, code in (({**obj, "extra": 1}, "unknown-field"), ([obj], "malformed-instance"),
+                      (None, "malformed-instance"), (7, "malformed-instance")):
+        infile = write(tmp_path, "in.json", doc)
+        exit_code, out, err = run(capsys, "reduce", "--name", name, "--in", infile,
+                                  "--out", str(outfile))
+        assert exit_code == 1 and out == "" and err.startswith(f"error: {code}:")
+        assert "Error(" not in err and not outfile.exists()
 
 
 def test_selftest_smoke(capsys):
@@ -487,6 +512,45 @@ def test_malformed_instance_never_panics(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and "malformed-instance" in err and out == ""
         assert "Traceback" not in err
+
+
+PROGRAM = {"layers": [[0], [1]], "labels": {"0": {"x": 1}}, "edges": [[0, 1, 1]],
+           "numX": 1, "numY": 0, "source": 0, "sink": 1}
+STRUCTURE = {"vocabulary": {"relations": [["E", 2]]}, "universeSize": 2,
+             "interpretation": {"E": [[0, 1]]}}
+
+
+@pytest.mark.parametrize("code, text, argv", [
+    ("bad-width", json.dumps({**PROGRAM, "labels": {}, "numX": -1}),
+     ("bp", "--program", "@in", "--x", "1")),
+    ("label-out-of-range", json.dumps({**PROGRAM, "labels": {"0": {"x": 2}}}),
+     ("bp", "--program", "@in", "--x", "1")),
+    ("bad-label", json.dumps({**PROGRAM, "labels": {"0": {"z": 1}}}),
+     ("bp", "--program", "@in", "--x", "1")),
+    ("duplicate-symbol",
+     json.dumps({**STRUCTURE, "vocabulary": {"relations": [["E", 2]], "constants": ["E"]}}),
+     ("mc", "--formula", "@phi", "--structure", "@in", "--k", "1")),
+    ("empty-universe", json.dumps({**STRUCTURE, "universeSize": 0}),
+     ("mc", "--formula", "@phi", "--structure", "@in", "--k", "1")),
+    ("element-out-of-range", json.dumps({**STRUCTURE, "interpretation": {"E": [[0, 2]]}}),
+     ("mc", "--formula", "@phi", "--structure", "@in", "--k", "1")),
+    ("malformed-dimacs", "p dnf 1 1\n1 0\n",
+     ("reach2cnf", "--graph", "@graph", "--cnf", "@in", "--a", "2", "--k", "1")),
+    ("bad-literal", json.dumps({**DIAMOND, "clauses": [[1, 0]]}),
+     ("reach2cnf", "--graph", "@in", "--a", "2", "--k", "1")),
+    ("bad-matrix-shape", json.dumps({"n": 3, "rows": [[1, 0], [0, 1]]}),
+     ("pdet", "--matrix", "@in", "--k", "2")),
+    ("vertex-count-negative", json.dumps({"n": -1, "edges": []}),
+     ("reach", "--graph", "@in", "--s", "0", "--t", "0", "--k", "1")),
+])
+def test_refusal_codes(tmp_path, capsys, code, text, argv):
+    (tmp_path / "in.txt").write_text(text)
+    files = {"@in": str(tmp_path / "in.txt"), "@graph": write(tmp_path, "g.json", DIAMOND),
+             "@phi": write(tmp_path, "phi.json",
+                           {"atom": "E", "args": [{"var": "x"}, {"var": "y"}]})}
+    exit_code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert exit_code == 1 and out == "" and err.startswith(f"error: {code}:")
+    assert "Traceback" not in err
 
 
 def test_limit_flag_and_env_guard_enumeration(tmp_path, capsys, monkeypatch):

@@ -225,6 +225,16 @@ def test_local_sweep_under_deep_negation():
     )
 
 
+def test_both_routes_count_a_chain_deeper_than_the_recursion_limit():
+    structure = RelationalStructure(Vocabulary((("P", 1),)), 1, {"P": {(0,)}})
+    node = atom("P", "x")
+    for _ in range(3000):
+        node = Connective("not", (node,))
+    phi = QFFormula(node)
+    assert count_mc(phi, structure, phi.size) == 1
+    assert count_mc_local(phi, structure, phi.size, 0, 1) == 1
+
+
 def test_constants_resolution():
     vocab = Vocabulary((("E", 2),), ("s",))
     structure = RelationalStructure(vocab, 3, {"E": {(0, 1)}}, {"s": 0})

@@ -208,11 +208,10 @@ def test_verifier_detects_corruption():
 
     broken = ReductionRecord(
         "broken",
-        "walks",
-        "walks",
-        "k' = k",
         lambda inst: (inst[0], inst[1], inst[2], inst[3] + 1),
         lambda inst, kp: kp == inst[3],
+        standard_records()["reach-to-mc"].read,
+        standard_records()["reach-to-mc"].write,
     )
     probe = [(DirectedGraph(3, ((0, 1), (1, 2))), 0, 2, 3)]
     report = verify_parsimonious(
