@@ -9,8 +9,9 @@ accepting count of an ordinary input x is the number of y assignments it
 accepts with.
 
 Read-once certification confines each y_j's label occurrences to one band
-of consecutive layers, bands ordered by j; ``stagger`` rebuilds a program
-into that shape (inserting pass-through nodes) whenever every source-sink
+of consecutive layers, bands ordered by j; ``stagger`` re-layers a program
+into that shape (keeping only its source-sink subgraph, each node moved to
+the band of the largest y index read up to it) whenever every source-sink
 path reads y variables in strictly increasing index order.  One pass in
 layer order, linear in the edges, checks that order for both ``stagger``
 and ``bp_count_fast``; the fast counter then keeps one count per node on a
@@ -305,96 +306,41 @@ def _check_increasing_reads(p: BranchingProgram, code: str) -> dict[int, int]:
 
 
 def stagger(p: BranchingProgram) -> BranchingProgram:
-    """Rebuild p into a read-once certified program with the same accepting
+    """Re-layer p into a read-once certified program with the same accepting
     counts for every input.
 
     Requires the order property: every source-sink path reads y indices
-    strictly increasingly, checked by one layer-order pass linear in the
-    edges.  Already-certified programs come back unchanged.  The rebuild
-    keeps only nodes on source-sink paths, assigns each y_j its own band of
-    layers, and fills layer gaps with forced pass-through nodes.
+    strictly increasingly (one layer-order pass, linear in the edges).
+    Already-certified programs come back unchanged.  Otherwise the nodes and
+    edges on source-sink paths are kept and only moved.  A node u other than
+    the sink takes the slot (max(upto[u], 1), old layer), upto[u] the
+    largest y index read up to u; the new layers are a fresh pass source,
+    the sorted distinct slots, and the sink alone, relabelled pass.
+
+    Counts are kept: upto never falls along an edge and the old layer rises
+    within a band, so every kept edge still goes to a later layer, and the
+    kept subgraph holds every source-sink path.  The output is certified:
+    y_j occurs only in band j, and each band opens with an empty slot
+    (j, -1), since the certificate's cuts rise by at least one per variable.
     """
     upto = _check_increasing_reads(p, "order-property-violated")
     if isinstance(check_read_once_certified(p), ReadOnceCertificate):
         return p
-
-    # upto's keys are the nodes on source-sink paths, in layer order.
-    if p.source not in upto or p.sink not in upto:
+    if p.sink not in upto:
         # No accepting path at all; the empty program preserves every count.
-        fresh_source, fresh_sink = 0, 1
-        return validate_bp(
-            [[fresh_source], [fresh_sink]],
-            {fresh_source: ("pass",), fresh_sink: ("pass",)},
-            [],
-            p.num_x,
-            p.num_y,
-            fresh_source,
-            fresh_sink,
-        )
-
-    kept_edges = [
-        (u, v, bit) for u, v, bit in p.edges if u in upto and v in upto
-    ]
-    preds: dict[int, list[int]] = {}
-    for u, v, _ in kept_edges:
-        preds.setdefault(v, []).append(u)
-
-    band: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    for node in upto:
-        band[node] = max(upto[node], 1)
-        same = [depth[q] for q in preds.get(node, []) if band[q] == band[node]]
-        depth[node] = 1 + max(same, default=0)
-
-    heights = {j: 1 for j in range(1, p.num_y + 2)}
-    for node in upto:
-        if node != p.sink:
-            heights[band[node]] = max(heights[band[node]], depth[node])
-    offsets = {}
-    cursor = 1  # layer 0 is the fresh pass source
-    for j in range(1, p.num_y + 2):
-        offsets[j] = cursor
-        cursor += heights[j]
-
-    new_layer = {
-        node: offsets[band[node]] + depth[node] - 1
-        for node in upto
-        if node != p.sink
-    }
-    new_layer[p.sink] = max(new_layer.values(), default=0) + 1
-
-    next_id = max(p.nodes()) + 1
-    labels: dict[int, Label] = {node: p.label_of(node) for node in upto}
-    # The sink's label is never consulted; normalising it to pass keeps the
-    # bands free of a spurious occurrence.
-    labels[p.sink] = ("pass",)
-    pass_source = next_id
-    next_id += 1
-    labels[pass_source] = ("pass",)
-    new_layer[pass_source] = 0
-    edges: list[tuple[int, int, int | None]] = []
-
-    for u, v, bit in kept_edges + [(pass_source, p.source, None)]:
-        gap = new_layer[v] - new_layer[u]
-        assert gap >= 1, "band-ordered layering must respect edges"
-        prev = u
-        prev_bit = bit if labels[u][0] != "pass" else None
-        for step in range(1, gap):
-            node = next_id
-            next_id += 1
-            labels[node] = ("pass",)
-            new_layer[node] = new_layer[u] + step
-            edges.append((prev, node, prev_bit))
-            prev, prev_bit = node, None
-        edges.append((prev, v, prev_bit))
-
-    top = max(new_layer.values())
-    layer_lists: list[list[int]] = [[] for _ in range(top + 1)]
-    for node, layer in sorted(new_layer.items()):
-        layer_lists[layer].append(node)
-    staggered = validate_bp(
-        layer_lists, labels, edges, p.num_x, p.num_y, pass_source, p.sink
-    )
+        return validate_bp([[0], [1]], {}, [], p.num_x, p.num_y, 0, 1)
+    layer = p.layer_of()
+    slot = {u: (max(upto[u], 1), layer[u]) for u in upto if u != p.sink}
+    order = sorted(set(slot.values()) | {(j, -1) for j in range(1, p.num_y + 1)})
+    position = {s: i for i, s in enumerate(order, 1)}
+    source = max(p.nodes()) + 1
+    layers: list[list[int]] = [[source]] + [[] for _ in order] + [[p.sink]]
+    for u, s in slot.items():
+        layers[position[s]].append(u)
+    edges = [(u, v, bit) for u, v, bit in p.edges if u in upto and v in upto]
+    staggered = validate_bp(layers, {u: label for u, label in p.labels if u in slot},
+                            edges + [(source, p.source, None)],
+                            p.num_x, p.num_y, source, p.sink)
     assert isinstance(check_read_once_certified(staggered), ReadOnceCertificate)
     return staggered
 
@@ -454,7 +400,11 @@ def bp_from_json(obj: dict) -> BranchingProgram:
         raise CountingError("malformed-instance", "program file must be an object")
     reject_unknown_fields(obj, BP_FIELDS, "branching program")
     labels = {}
-    for node, label in obj.get("labels", {}).items():
+    for key, label in obj.get("labels", {}).items():
+        # A key names a node in canonical decimal form: not "01", "+1" or "1_0".
+        node = str(key)
+        if not (node.removeprefix("-").isdecimal() and str(int(node)) == node):
+            raise CountingError("not-an-integer", f"label node {key!r} is not an integer")
         if "x" in label:
             labels[int(node)] = ("x", read_int(label["x"], "label x"))
         elif "y" in label:

@@ -422,14 +422,28 @@ def term_to_json(term: Term) -> dict:
 
 
 def formula_node_from_json(obj: dict) -> Node:
+    """Read a formula node in document order by an explicit stack, one frame
+    per open connective, so nesting depth is not bounded by recursion."""
+    root: list[Node] = []
+    stack = [("", root, iter([obj]))]  # (op, children read, child documents left)
+    while stack:
+        op, children, pending = stack[-1]
+        for doc in pending:
+            if isinstance(doc, dict) and "op" in doc:
+                reject_unknown_fields(doc, {"op", "args"}, "formula node")
+                stack.append((str(doc["op"]), [], iter(doc.get("args", []))))
+                break
+            children.append(_leaf_from_json(doc))
+        else:
+            stack.pop()
+            if stack:
+                stack[-1][1].append(Connective(op, tuple(children)))
+    return root[0]
+
+
+def _leaf_from_json(obj: dict) -> Atom | Eq:
     if not isinstance(obj, dict):
         raise CountingError("malformed-formula", f"bad node {obj!r}")
-    if "op" in obj:
-        reject_unknown_fields(obj, {"op", "args"}, "formula node")
-        return Connective(
-            str(obj["op"]),
-            tuple(formula_node_from_json(c) for c in obj.get("args", [])),
-        )
     if "atom" in obj:
         reject_unknown_fields(obj, {"atom", "args"}, "formula atom")
         return Atom(

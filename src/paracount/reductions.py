@@ -234,6 +234,9 @@ def _reduce_input(obj, allowed: set[str]) -> dict:
     if not isinstance(obj, dict):
         raise CountingError("malformed-instance", "reduce input must be a JSON object")
     reject_unknown_fields(obj, allowed, "reduce input")
+    missing = sorted(allowed - obj.keys())
+    if missing:
+        raise CountingError("malformed-instance", f'reduce input needs "{missing[0]}"')
     return obj
 
 

@@ -326,6 +326,11 @@ def test_read_order_checks_match_path_enumeration():
         code = refusal_code(stagger, p)
         assert code == ("order-property-violated" if out_of_order else None)
         seen["stagger"].add(code)
+        if code is None:
+            staggered = stagger(p)
+            assert isinstance(check_read_once_certified(staggered), ReadOnceCertificate)
+            for x in itertools.product((0, 1), repeat=p.num_x):
+                assert bp_count_fast(staggered, x) == bp_count_acc(p, x)
         if isinstance(
             check_read_once_certified(p), ReadOnceCertificate
         ) and is_deterministic_given_inputs(p):
@@ -341,6 +346,46 @@ def test_read_order_checks_match_path_enumeration():
         "stagger": {None, "order-property-violated"},
         "fast": {None, "precondition-violated"},
     }
+
+
+def source_sink_edges(p):
+    """The edges on some source-to-sink path, by brute-force path enumeration."""
+    out = p.out_edges()
+    kept = set()
+
+    def walk(node, path):
+        if node == p.sink:
+            kept.update(path)
+        for v, bit in out.get(node, []):
+            walk(v, path + [(node, v, bit)])
+
+    walk(p.source, [])
+    return kept
+
+
+def test_stagger_keeps_only_the_source_sink_subgraph():
+    # A rebuilt program is p's source-sink subgraph behind one fresh pass
+    # source: no node or edge is added on the way.
+    rng = random.Random(64)
+    rebuilt = 0
+    for trial in range(600):
+        if trial % 3:
+            p = random_layered_program(rng, banded=trial % 2 == 1)
+        else:
+            p = rand_ordered_bp(rng)
+        if refusal_code(stagger, p) is not None:
+            continue
+        staggered = stagger(p)
+        kept = source_sink_edges(p)
+        if staggered is p or not kept:
+            continue
+        rebuilt += 1
+        nodes = {u for e in kept for u in e[:2]}
+        assert len(staggered.nodes()) == len(nodes) + 1
+        assert nodes | {staggered.source} == set(staggered.nodes())
+        assert len(staggered.edges) == len(kept) + 1
+        assert set(staggered.edges) == kept | {(staggered.source, p.source, None)}
+    assert rebuilt > 50
 
 
 def test_stagger_handles_late_variable_at_source():
@@ -386,3 +431,12 @@ def test_bp_json_roundtrip():
     bad["extra"] = 1
     with pytest.raises(CountingError):
         bp_from_json(bad)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 0", "0 ", "+1", "01", "-0", "1.0", "", "x", "١"])
+def test_bp_label_keys_must_be_canonical_node_ids(key):
+    doc = bp_to_json(validate_bp([[0], [10]], {}, [(0, 10, None)], 1, 0, 0, 10))
+    doc["labels"] = {key: {"x": 1}}
+    with pytest.raises(CountingError) as err:
+        bp_from_json(doc)
+    assert err.value.code == "not-an-integer" and repr(key) in str(err.value)

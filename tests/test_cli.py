@@ -360,8 +360,10 @@ def test_reduce_refuses_unknown_fields_and_non_objects(tmp_path, capsys, name):
         obj = {"graph": {"n": 3, "edges": [[0, 1], [1, 2]], "colours": [1, 2, 3]},
                "s": 0, "t": 2, "k": 3}
     outfile = tmp_path / "out.json"
+    dropped = {key: value for key, value in obj.items() if key != "k"}
     for doc, code in (({**obj, "extra": 1}, "unknown-field"), ([obj], "malformed-instance"),
-                      (None, "malformed-instance"), (7, "malformed-instance")):
+                      (None, "malformed-instance"), (7, "malformed-instance"),
+                      (dropped, "malformed-instance")):
         infile = write(tmp_path, "in.json", doc)
         exit_code, out, err = run(capsys, "reduce", "--name", name, "--in", infile,
                                   "--out", str(outfile))

@@ -228,11 +228,15 @@ def test_local_sweep_under_deep_negation():
 def test_both_routes_count_a_chain_deeper_than_the_recursion_limit():
     structure = RelationalStructure(Vocabulary((("P", 1),)), 1, {"P": {(0,)}})
     node = atom("P", "x")
+    doc = {"atom": "P", "args": [{"var": "x"}]}
     for _ in range(3000):
         node = Connective("not", (node,))
-    phi = QFFormula(node)
-    assert count_mc(phi, structure, phi.size) == 1
-    assert count_mc_local(phi, structure, phi.size, 0, 1) == 1
+        doc = {"op": "not", "args": [doc]}
+    # The file reader keeps its own stack too, so a library caller reads the chain.
+    for phi in (QFFormula(node), formula_from_json(doc)):
+        assert phi.size == 3001
+        assert count_mc(phi, structure, phi.size) == 1
+        assert count_mc_local(phi, structure, phi.size, 0, 1) == 1
 
 
 def test_constants_resolution():
