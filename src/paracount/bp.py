@@ -232,7 +232,7 @@ def _occurrence_layers(p: BranchingProgram) -> dict[int, tuple[int, int]]:
     layer_index = p.layer_of()
     occ: dict[int, list[int]] = {}
     for node, label in p.labels:
-        if label[0] == "y":
+        if label[0] == "y" and node != p.sink:  # no counter reads the sink's bit
             occ.setdefault(label[1], []).append(layer_index[node])
     return {j: (min(l), max(l)) for j, l in occ.items()}
 
@@ -292,7 +292,7 @@ def _check_increasing_reads(p: BranchingProgram, code: str) -> dict[int, int]:
     for u in _relevant_nodes(p):
         read = before.get(u, 0)
         label = p.label_of(u)
-        if label[0] == "y":
+        if label[0] == "y" and u != p.sink:  # no counter reads the sink's bit
             if label[1] <= read:
                 raise CountingError(
                     code, f"y_{label[1]} is read after y_{read} on some path"
@@ -405,6 +405,8 @@ def bp_from_json(obj: dict) -> BranchingProgram:
         node = str(key)
         if not (node.removeprefix("-").isdecimal() and str(int(node)) == node):
             raise CountingError("not-an-integer", f"label node {key!r} is not an integer")
+        if not isinstance(label, dict):
+            raise CountingError("malformed-instance", f"label {label!r} is not an object")
         if "x" in label:
             labels[int(node)] = ("x", read_int(label["x"], "label x"))
         elif "y" in label:

@@ -364,6 +364,15 @@ def count_mc_local(
     its last, at most r atoms later as the formula is r-local; a state
     therefore holds assignments to at most w*r variables, w the most distinct
     variables in one atom (an equality binds two, whatever the arity a).
+
+    A successor whose value the remaining atoms cannot change is decided: the
+    formula is monotone in each atom occurrence's literal (its value, negated
+    under an odd number of ``not``s), so feeding the remaining atoms all-low
+    and all-high bounds it.  Decided false is dropped; decided true goes to
+    the absorbing state ``(i, (), True)``, which makes |A|^(variables first
+    bound at atom i) copies of itself per move.  When the atom's being false
+    would decide false, a relational atom binds its fresh variables only to
+    the tuples that match its bound arguments, read from a lazy index.
     """
     actual_r = locality_radius(phi)
     if actual_r > r:
@@ -379,27 +388,77 @@ def count_mc_local(
         return 0
     check_signature(phi, structure)
 
-    opened = [_opened(path) for path in phi.paths] + [()]
-    universe = range(structure.universe_size)
-    last = len(phi.atoms) - 1
+    atoms, paths, spans = phi.atoms, phi.paths, phi.spans
+    opened = [_opened(path) for path in paths] + [()]
+    negated = [sum(op == "not" for op, _, _ in path) % 2 == 1 for path in paths]
+    first_bound = [0] * len(atoms)
+    for first, _ in spans.values():
+        first_bound[first] += 1
+    size = structure.universe_size
+    last = len(atoms) - 1
+    extremes: tuple[dict, dict] = ({}, {})  # (i, accs) -> value, all-low and all-high
+    index: dict = {}  # (relation, bound positions) -> bound values -> tuples
+
+    def extreme(i: int, accs, high: bool) -> bool:
+        """The formula's value when atoms i.. all take their high (or low) literal."""
+        cache, chain = extremes[high], []
+        while i <= last and (i, accs) not in cache:
+            chain.append((i, accs))
+            accs = _feed(paths[i], accs, high != negated[i], opened[i + 1])
+            i += 1
+        value = accs if i > last else cache[(i, accs)]
+        cache.update(dict.fromkeys(chain, value))
+        return value
+
+    def decided(i: int, accs) -> bool | None:
+        low = extreme(i, accs, False)
+        return low if low == extreme(i, accs, True) else None
+
+    def bindings(atom: Atom | Eq, live: dict, fresh: list, true_only: bool):
+        """(assignment, atom value) for each value of the fresh variables; with
+        ``true_only``, only the matching tuples of a relational atom, indexed
+        by (relation, bound positions), a repeated fresh variable kept equal."""
+        if not true_only:
+            for values in itertools.product(range(size), repeat=len(fresh)):
+                assignment = {**live, **dict(zip(fresh, values))}
+                yield assignment, eval_atom(atom, assignment, structure)
+            return
+        args = atom.args
+        positions = tuple(p for p, t in enumerate(args)
+                          if not (isinstance(t, Var) and t.name in fresh))
+        table = index.get((atom.relation, positions))
+        if table is None:
+            table = index[(atom.relation, positions)] = {}
+            for tup in structure.interpretation[atom.relation]:
+                table.setdefault(tuple(tup[p] for p in positions), []).append(tup)
+        key = tuple(_term_value(args[p], live, structure) for p in positions)
+        for tup in table.get(key, ()):
+            assignment = dict(live)
+            if all(assignment.setdefault(t.name, x) == x
+                   for t, x in zip(args, tup) if isinstance(t, Var)):
+                yield assignment, True
 
     def step(state: tuple):
         idx, live_items, accs = state
-        atom, path, opened_next = phi.atoms[idx], phi.paths[idx], opened[idx + 1]
-        live = dict(live_items)
+        nxt = idx + 1
+        absorbed = True if idx == last else (nxt, (), True)
+        if accs is True:
+            yield from itertools.repeat(absorbed, size ** first_bound[idx])
+            return
+        atom, live = atoms[idx], dict(live_items)
         fresh = [v for v in atom_variables(atom) if v not in live]
-        for values in itertools.product(universe, repeat=len(fresh)):
-            assignment = dict(live)
-            assignment.update(zip(fresh, values))
-            after = _feed(path, accs, eval_atom(atom, assignment, structure), opened_next)
-            if idx == last:
-                yield after
-            else:
-                kept = (item for item in assignment.items() if phi.spans[item[0]][1] > idx)
-                yield (idx + 1, tuple(sorted(kept)), after)
+        after = {value: _feed(paths[idx], accs, value, opened[nxt]) for value in (False, True)}
+        verdict = {value: decided(nxt, acc) for value, acc in after.items()}
+        true_only = bool(fresh) and isinstance(atom, Atom) and verdict[False] is False
+        for assignment, value in bindings(atom, live, fresh, true_only):
+            if verdict[value] is None:
+                kept = (item for item in assignment.items() if spans[item[0]][1] > idx)
+                yield (nxt, tuple(sorted(kept)), after[value])
+            elif verdict[value]:
+                yield absorbed
 
     start = {(0, (), opened[0]): 1}
-    return propagate(start, len(phi.atoms), step).get(True, 0)
+    return propagate(start, len(atoms), step).get(True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +490,7 @@ def formula_node_from_json(obj: dict) -> Node:
         for doc in pending:
             if isinstance(doc, dict) and "op" in doc:
                 reject_unknown_fields(doc, {"op", "args"}, "formula node")
-                stack.append((str(doc["op"]), [], iter(doc.get("args", []))))
+                stack.append((str(doc["op"]), [], iter(_args_of(doc))))
                 break
             children.append(_leaf_from_json(doc))
         else:
@@ -441,18 +500,23 @@ def formula_node_from_json(obj: dict) -> Node:
     return root[0]
 
 
+def _args_of(obj: dict) -> list:
+    args = obj.get("args", [])
+    if not isinstance(args, (list, tuple)):
+        raise CountingError("malformed-formula", f"args {args!r} is not a list")
+    return args
+
+
 def _leaf_from_json(obj: dict) -> Atom | Eq:
     if not isinstance(obj, dict):
         raise CountingError("malformed-formula", f"bad node {obj!r}")
     if "atom" in obj:
         reject_unknown_fields(obj, {"atom", "args"}, "formula atom")
-        return Atom(
-            str(obj["atom"]), tuple(term_from_json(t) for t in obj.get("args", []))
-        )
+        return Atom(str(obj["atom"]), tuple(term_from_json(t) for t in _args_of(obj)))
     if "eq" in obj:
         reject_unknown_fields(obj, {"eq"}, "formula equality")
         pair = obj["eq"]
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise CountingError("malformed-formula", "eq takes two terms")
         return Eq(term_from_json(pair[0]), term_from_json(pair[1]))
     raise CountingError("malformed-formula", f"bad node {obj!r}")

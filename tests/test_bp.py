@@ -293,12 +293,13 @@ def random_layered_program(rng, banded):
 
 
 def y_reads_per_path(p):
-    """The y indices read along each source-to-sink path, by brute force."""
+    """The y indices read along each source-to-sink path, by brute force; the
+    sink's label is not a read, since acceptance only asks that it be reached."""
     out = p.out_edges()
 
     def walk(node, reads):
         label = p.label_of(node)
-        if label[0] == "y":
+        if label[0] == "y" and node != p.sink:
             reads = reads + [label[1]]
         if node == p.sink:
             yield reads
@@ -399,6 +400,17 @@ def test_stagger_handles_late_variable_at_source():
     assert isinstance(check_read_once_certified(staggered), ReadOnceCertificate)
     assert bp_count_acc(staggered, []) == bp_count_acc(p, []) == 16
     assert bp_count_fast(staggered, []) == 16
+
+
+@pytest.mark.parametrize("sink_label", [{1: ("y", 1)}, {}])
+def test_sink_label_is_not_a_read(sink_label):
+    # The source reads y_2; a y_1 label on the sink reads nothing, since
+    # acceptance only asks that the sink be reached.
+    p = validate_bp([[0], [1]], {0: ("y", 2), **sink_label}, [(0, 1, 0), (0, 1, 1)],
+                    0, 2, 0, 1)
+    staggered = stagger(p)
+    assert isinstance(check_read_once_certified(staggered), ReadOnceCertificate)
+    assert bp_count_fast(staggered, []) == bp_count_acc(p, []) == 4
 
 
 def test_stagger_program_without_accepting_paths():

@@ -555,6 +555,23 @@ def test_refusal_codes(tmp_path, capsys, code, text, argv):
     assert "Traceback" not in err
 
 
+MC_ARGV = ("mc", "--formula", "@in", "--structure", "@structure", "--k", "1")
+
+
+@pytest.mark.parametrize("code, doc, argv", [
+    ("malformed-formula", {"eq": 5}, MC_ARGV),
+    ("malformed-formula", {"op": "and", "args": None}, MC_ARGV),
+    ("malformed-instance", {**PROGRAM, "labels": {"0": "x"}},
+     ("bp", "--program", "@in", "--x", "1")),
+])
+def test_wrongly_typed_field_has_a_stable_code(tmp_path, capsys, code, doc, argv):
+    files = {"@in": write(tmp_path, "in.json", doc),
+             "@structure": write(tmp_path, "A.json", STRUCTURE)}
+    exit_code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert exit_code == 1 and out == "" and err.startswith(f"error: {code}:")
+    assert "Error(" not in err and "Traceback" not in err
+
+
 def test_limit_flag_and_env_guard_enumeration(tmp_path, capsys, monkeypatch):
     target = {
         "vocabulary": {

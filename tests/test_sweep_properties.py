@@ -26,7 +26,7 @@ from paracount.fo import (
     max_arity,
 )
 from paracount.reductions import reduce_reach_to_mc
-from paracount.selftest import rand_graph
+from paracount.selftest import rand_graph, rand_local_formula, rand_structure
 from paracount.walks import count_reach, propagate
 
 VOCAB = Vocabulary((("P", 1), ("E", 2)), ("c",))
@@ -89,6 +89,50 @@ def test_locality_sweep_matches_brute_force(case):
     phi, structure = case
     local = sweep_with_live_bound(phi, structure, phi.size)
     assert local == count_mc(phi, structure, phi.size)
+
+
+@st.composite
+def wrapped_local_formula(draw):
+    """A selftest local formula and structure, the formula wrapped in random
+    not/and/or nodes whose other children are local formulas too."""
+    rng = draw(st.randoms(use_true_random=False))
+    node = rand_local_formula(rng, draw(st.integers(0, 3))).root
+    for op in draw(st.lists(st.sampled_from(["not", "and", "or"]), max_size=4)):
+        if op == "not":
+            node = Connective("not", (node,))
+        else:
+            other = rand_local_formula(rng, draw(st.integers(0, 2))).root
+            node = Connective(op, (node, other) if draw(st.booleans()) else (other, node))
+    return QFFormula(node), rand_structure(rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrapped_local_formula())
+def test_sweep_with_decided_states_matches_brute_force(case):
+    phi, structure = case
+    local = sweep_with_live_bound(phi, structure, phi.size)
+    assert local == count_mc(phi, structure, phi.size)
+
+
+def test_formula_decided_by_its_first_atom_counts_every_assignment():
+    # x = x is always true under the or: after it every state is decided true
+    # and absorbed, and each later atom multiplies by |A| per fresh variable.
+    phi = QFFormula(Connective("or", (
+        Eq(Var("x"), Var("x")), Atom("E", (Var("x"), Var("y"))), Atom("P", (Var("z"),)))))
+    structure = RelationalStructure(VOCAB, 4, {"E": [(0, 1)], "P": []}, {"c": 0})
+    stepped = []
+
+    def spy(start, steps, step):
+        def recorded(state):
+            stepped.append(state)
+            return step(state)
+        return propagate(start, steps, recorded)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fo, "propagate", spy)
+        count = count_mc_local(phi, structure, phi.size, locality_radius(phi), 2)
+    assert count == count_mc(phi, structure, phi.size) == 4 ** 3
+    assert stepped[1:] == [(1, (), True), (2, (), True)]
 
 
 def test_walk_formula_sweep_keeps_at_most_two_variables_live():
