@@ -19,10 +19,10 @@ source-sink path, halved at each y read.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_fields, read_int
 
 Label = tuple  # ("x", i) | ("y", j) | ("pass",)
 
@@ -392,21 +392,18 @@ def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
 # File format
 # ---------------------------------------------------------------------------
 
-BP_FIELDS = {"layers", "labels", "edges", "numX", "numY", "source", "sink"}
-
 
 def bp_from_json(obj: dict) -> BranchingProgram:
-    if not isinstance(obj, dict):
-        raise CountingError("malformed-instance", "program file must be an object")
-    reject_unknown_fields(obj, BP_FIELDS, "branching program")
+    read_fields(obj, "program file", ("layers", "numX", "numY", "source", "sink"),
+                ("labels", "edges"))
     labels = {}
-    for key, label in obj.get("labels", {}).items():
+    label_docs = obj.get("labels", {})
+    for key, label in read_fields(label_docs, '"labels"', (), label_docs).items():
         # A key names a node in canonical decimal form: not "01", "+1" or "1_0".
         node = str(key)
         if not (node.removeprefix("-").isdecimal() and str(int(node)) == node):
             raise CountingError("not-an-integer", f"label node {key!r} is not an integer")
-        if not isinstance(label, dict):
-            raise CountingError("malformed-instance", f"label {label!r} is not an object")
+        read_fields(label, f"label {key}", (), label)
         if "x" in label:
             labels[int(node)] = ("x", read_int(label["x"], "label x"))
         elif "y" in label:
@@ -432,17 +429,10 @@ def bp_from_json(obj: dict) -> BranchingProgram:
 
 
 def bp_to_json(p: BranchingProgram) -> dict:
-    labels = {}
-    for node, label in p.labels:
-        if label[0] == "x":
-            labels[str(node)] = {"x": label[1]}
-        elif label[0] == "y":
-            labels[str(node)] = {"y": label[1]}
-        else:
-            labels[str(node)] = {"pass": True}
     return {
         "layers": [list(layer) for layer in p.layers],
-        "labels": labels,
+        "labels": {str(node): {"pass": True} if label[0] == "pass" else {label[0]: label[1]}
+                   for node, label in p.labels},
         "edges": [[u, v, bit] for u, v, bit in p.edges],
         "numX": p.num_x,
         "numY": p.num_y,

@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name, help_text, *, s_t=True, a=False, k=True, b=False, cnf=False):
+    def graph_command(name, help_text, *, s_t=True, a=False, b=False, cnf=False):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--graph", required=True)
         if s_t:
@@ -116,8 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--t", type=int)
         if a:
             cmd.add_argument("--a", type=int, required=True)
-        if k:
-            cmd.add_argument("--k", type=int, required=True)
+        cmd.add_argument("--k", type=int, required=True)
         if b:
             cmd.add_argument("--b", type=int, default=2)
         if cnf:

@@ -8,8 +8,8 @@ edges are true, every other edge of the graph is false.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int
 from .graphs import DirectedGraph, check_vertex, cycles_of

@@ -14,10 +14,10 @@ accumulators of the atom's open and/or ancestors.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Union
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_fields, read_int, read_name
 from .walks import propagate
 
 
@@ -125,7 +125,7 @@ class ConstRef:
     name: str
 
 
-Term = Union[Var, ConstRef]
+Term = Var | ConstRef
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class Connective:
     children: tuple["Node", ...]
 
 
-Node = Union[Atom, Eq, Connective]
+Node = Atom | Eq | Connective
 
 _CONNECTIVES = {"and", "or", "not"}
 _Path = tuple[tuple[str, int, int], ...]  # (op, child position, child count), root first
@@ -467,17 +467,26 @@ def count_mc_local(
 
 
 def term_from_json(obj: dict) -> Term:
-    if not isinstance(obj, dict):
-        raise CountingError("malformed-formula", f"bad term {obj!r}")
-    if set(obj) == {"var"}:
-        return Var(str(obj["var"]))
-    if set(obj) == {"const"}:
-        return ConstRef(str(obj["const"]))
+    read_fields(obj, "term", (), obj, "malformed-formula")
+    for key, kind in (("var", Var), ("const", ConstRef)):
+        if set(obj) == {key}:
+            return kind(read_name(obj[key], key, "malformed-formula"))
     raise CountingError("malformed-formula", f"bad term {obj!r}")
 
 
 def term_to_json(term: Term) -> dict:
     return {"var": term.name} if isinstance(term, Var) else {"const": term.name}
+
+
+def _node_kind(doc) -> str:
+    """Which formula node ``doc`` is, "op", "atom" or "eq", once its fields are checked."""
+    read_fields(doc, "formula node", (), doc, "malformed-formula")
+    kind = next((key for key in ("op", "atom", "eq") if key in doc), None)
+    if kind is None:
+        raise CountingError("malformed-formula", f"bad node {doc!r}")
+    read_fields(doc, f"formula {kind}", (kind,), () if kind == "eq" else ("args",),
+                "malformed-formula")
+    return kind
 
 
 def formula_node_from_json(obj: dict) -> Node:
@@ -488,11 +497,11 @@ def formula_node_from_json(obj: dict) -> Node:
     while stack:
         op, children, pending = stack[-1]
         for doc in pending:
-            if isinstance(doc, dict) and "op" in doc:
-                reject_unknown_fields(doc, {"op", "args"}, "formula node")
+            kind = _node_kind(doc)
+            if kind == "op":
                 stack.append((str(doc["op"]), [], iter(_args_of(doc))))
                 break
-            children.append(_leaf_from_json(doc))
+            children.append(_leaf_from_json(doc, kind))
         else:
             stack.pop()
             if stack:
@@ -507,19 +516,14 @@ def _args_of(obj: dict) -> list:
     return args
 
 
-def _leaf_from_json(obj: dict) -> Atom | Eq:
-    if not isinstance(obj, dict):
-        raise CountingError("malformed-formula", f"bad node {obj!r}")
-    if "atom" in obj:
-        reject_unknown_fields(obj, {"atom", "args"}, "formula atom")
-        return Atom(str(obj["atom"]), tuple(term_from_json(t) for t in _args_of(obj)))
-    if "eq" in obj:
-        reject_unknown_fields(obj, {"eq"}, "formula equality")
-        pair = obj["eq"]
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise CountingError("malformed-formula", "eq takes two terms")
-        return Eq(term_from_json(pair[0]), term_from_json(pair[1]))
-    raise CountingError("malformed-formula", f"bad node {obj!r}")
+def _leaf_from_json(obj: dict, kind: str) -> Atom | Eq:
+    if kind == "atom":
+        relation = read_name(obj["atom"], "relation", "malformed-formula")
+        return Atom(relation, tuple(term_from_json(t) for t in _args_of(obj)))
+    pair = obj["eq"]
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise CountingError("malformed-formula", "eq takes two terms")
+    return Eq(term_from_json(pair[0]), term_from_json(pair[1]))
 
 
 def formula_from_json(obj: dict) -> QFFormula:
@@ -534,28 +538,26 @@ def formula_node_to_json(node: Node) -> dict:
     return {"eq": [term_to_json(node.left), term_to_json(node.right)]}
 
 
-STRUCTURE_FIELDS = {"vocabulary", "universeSize", "interpretation", "constantValues"}
-
-
 def structure_from_json(obj: dict) -> RelationalStructure:
-    if not isinstance(obj, dict):
-        raise CountingError("malformed-structure", "structure file must be an object")
-    reject_unknown_fields(obj, STRUCTURE_FIELDS, "structure")
-    voc = obj.get("vocabulary", {})
-    reject_unknown_fields(voc, {"relations", "constants"}, "vocabulary")
-    relations = voc.get("relations", [])
+    read_fields(obj, "structure file", ("universeSize",),
+                ("vocabulary", "interpretation", "constantValues"))
+    voc = read_fields(obj.get("vocabulary", {}), "vocabulary", (), ("relations", "constants"))
+    interpretation = obj.get("interpretation", {})
+    constant_values = obj.get("constantValues", {})
     vocab = Vocabulary(
-        tuple((str(name), read_int(arity, "arity")) for name, arity in relations),
-        tuple(str(c) for c in voc.get("constants", [])),
+        tuple((read_name(name, "relation"), read_int(arity, "arity"))
+              for name, arity in voc.get("relations", [])),
+        tuple(read_name(c, "constant") for c in voc.get("constants", [])),
     )
     return RelationalStructure(
         vocab,
         read_int(obj["universeSize"], "universeSize"),
         {
-            str(name): [tuple(t) for t in tuples]
-            for name, tuples in obj.get("interpretation", {}).items()
+            name: [tuple(t) for t in tuples]
+            for name, tuples in read_fields(
+                interpretation, '"interpretation"', (), interpretation).items()
         },
-        {str(k): v for k, v in obj.get("constantValues", {}).items()},
+        read_fields(constant_values, '"constantValues"', (), constant_values),
     )
 
 

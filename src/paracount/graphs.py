@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_fields, read_int
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,6 @@ def enumerate_walks(
 # "s" and "t".  Unknown fields are rejected.
 # ---------------------------------------------------------------------------
 
-GRAPH_FIELDS = {"n", "edges", "colours", "s", "t"}
-
 
 def graph_from_json(obj: dict, extra_fields: set[str] = frozenset()) -> dict:
     """Parse the graph instance format into its parts.
@@ -194,11 +192,7 @@ def graph_from_json(obj: dict, extra_fields: set[str] = frozenset()) -> dict:
     Returns a dict with keys "graph" and, when present, "colouring", "s", "t"
     plus any field named in ``extra_fields`` (verbatim).  Rejects unknown keys.
     """
-    if not isinstance(obj, dict):
-        raise CountingError("malformed-instance", "graph file must be an object")
-    reject_unknown_fields(obj, GRAPH_FIELDS | set(extra_fields), "graph instance")
-    if "n" not in obj or "edges" not in obj:
-        raise CountingError("malformed-instance", 'graph file needs "n" and "edges"')
+    read_fields(obj, "graph file", ("n", "edges"), ("colours", "s", "t", *extra_fields))
     g = validate_graph(obj["n"], obj["edges"])
     parts: dict = {"graph": g}
     if "colours" in obj:

@@ -14,8 +14,8 @@ walk reduction always are).  Targets outside that domain are refused here;
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import DEFAULT_LIMIT, CountingError, check_limit
 from .fo import RelationalStructure, Vocabulary

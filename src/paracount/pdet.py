@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int, reject_unknown_fields
+from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_fields, read_int
 from .walks import propagate
 
 
@@ -410,9 +410,7 @@ def det_cross_check(a: ZeroOneMatrix) -> int:
 
 
 def matrix_from_json(obj: dict) -> ZeroOneMatrix:
-    if not isinstance(obj, dict):
-        raise CountingError("malformed-instance", "matrix file must be an object")
-    reject_unknown_fields(obj, {"n", "rows"}, "matrix")
+    read_fields(obj, "matrix file", ("n", "rows"))
     mat = ZeroOneMatrix.from_rows(obj["rows"])
     if mat.n != read_int(obj["n"], "n"):
         raise CountingError("bad-matrix-shape", "'n' disagrees with row count")

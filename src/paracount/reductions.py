@@ -10,10 +10,10 @@ disagreement instead of raising.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
-from .errors import CountingError, read_int, reject_unknown_fields
+from .errors import CountingError, read_fields, read_int
 from .fo import (Atom, ConstRef, Connective, Eq, QFFormula, RelationalStructure, Var, Vocabulary,
                  formula_node_to_json, structure_from_json, structure_to_json)
 from .graphs import DirectedGraph, VertexColouring, check_vertex, graph_from_json, graph_to_json
@@ -230,27 +230,22 @@ def verify_parsimonious(
     return report
 
 
-def _reduce_input(obj, allowed: set[str]) -> dict:
-    if not isinstance(obj, dict):
-        raise CountingError("malformed-instance", "reduce input must be a JSON object")
-    reject_unknown_fields(obj, allowed, "reduce input")
-    missing = sorted(allowed - obj.keys())
-    if missing:
-        raise CountingError("malformed-instance", f'reduce input needs "{missing[0]}"')
-    return obj
-
-
 def _read_hom(obj) -> tuple:
     """{"n", "k", "target"}; the target is read first."""
-    target = structure_from_json(_reduce_input(obj, {"n", "k", "target"})["target"])
+    target = structure_from_json(read_fields(obj, "reduce input", ("n", "k", "target"))["target"])
     return read_int(obj["n"], "n"), target, read_int(obj["k"], "k")
 
 
 def _read_walks(part: str) -> Callable[[object], tuple]:
     """{"graph", "s", "t", "k"}, handing the transform the graph file's ``part``."""
-    return lambda obj: (
-        graph_from_json(_reduce_input(obj, {"graph", "s", "t", "k"})["graph"])[part],
-        *(read_int(obj[key], key) for key in ("s", "t", "k")))
+    fields = ("graph", "s", "t", "k")
+
+    def read(obj) -> tuple:
+        parts = graph_from_json(read_fields(obj, "reduce input", fields)["graph"])
+        if part not in parts:  # only a colouring is optional
+            raise CountingError("colouring-incomplete", "instance has no colours")
+        return parts[part], *(read_int(obj[key], key) for key in fields[1:])
+    return read
 
 
 def standard_records() -> dict[str, ReductionRecord]:

@@ -14,8 +14,8 @@ All randomness flows from one seed, so failures reproduce exactly.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from . import bp as bpm
 from . import cnf as cnfm

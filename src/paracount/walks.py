@@ -17,7 +17,7 @@ at 2 so the gate is well defined on tiny graphs.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import CountingError
 from .graphs import DirectedGraph, VertexColouring, check_vertex, max_out_degree

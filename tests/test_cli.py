@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import paracount
 from paracount import reductions
@@ -25,12 +30,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def fresh_python(script):
-    """Stdout of ``script`` run by a new interpreter that imports this paracount."""
+def fresh_python(script, *flags):
+    """Stdout of ``script`` run by a new interpreter, started with ``flags``
+    (``-S``, say), that imports this paracount."""
     env = {**os.environ, "PYTHONPATH": str(Path(paracount.__file__).resolve().parent.parent)}
     env.pop("PARACOUNT_LIMIT", None)
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, timeout=60,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -556,13 +563,29 @@ def test_refusal_codes(tmp_path, capsys, code, text, argv):
 
 
 MC_ARGV = ("mc", "--formula", "@in", "--structure", "@structure", "--k", "1")
+BP_ARGV = ("bp", "--program", "@in", "--x", "1")
+HOM_ARGV = ("hom", "--n", "2", "--target", "@in", "--k", "2")
 
 
 @pytest.mark.parametrize("code, doc, argv", [
     ("malformed-formula", {"eq": 5}, MC_ARGV),
     ("malformed-formula", {"op": "and", "args": None}, MC_ARGV),
-    ("malformed-instance", {**PROGRAM, "labels": {"0": "x"}},
-     ("bp", "--program", "@in", "--x", "1")),
+    ("malformed-instance", {**PROGRAM, "labels": {"0": "x"}}, BP_ARGV),
+    # A missing required field is named, as is a free-key field that is not an object.
+    ("malformed-instance", {"rows": [[1]]}, ("pdet", "--matrix", "@in", "--k", "1")),
+    ("malformed-instance", {k: v for k, v in PROGRAM.items() if k != "layers"}, BP_ARGV),
+    ("malformed-instance", {k: v for k, v in STRUCTURE.items() if k != "universeSize"},
+     HOM_ARGV),
+    ("malformed-instance", {**PROGRAM, "labels": None}, BP_ARGV),
+    ("malformed-instance", [STRUCTURE], HOM_ARGV),  # one shape code per reader
+    # A name is never coerced into a string.
+    ("malformed-formula", {"atom": "E", "args": [{"var": 5}, {"var": "y"}]}, MC_ARGV),
+    ("malformed-formula", {"atom": ["E"], "args": []}, MC_ARGV),
+    ("malformed-instance", {**STRUCTURE, "vocabulary": {"relations": [[5, 2]]},
+                            "interpretation": {}}, HOM_ARGV),
+    ("malformed-instance", {**STRUCTURE, "vocabulary": {"relations": [["E", 2]],
+                                                        "constants": [1]},
+                            "constantValues": {"1": 0}}, HOM_ARGV),
 ])
 def test_wrongly_typed_field_has_a_stable_code(tmp_path, capsys, code, doc, argv):
     files = {"@in": write(tmp_path, "in.json", doc),
@@ -661,3 +684,114 @@ def test_reach_process_loads_only_the_walk_modules(tmp_path):
     unused = {"fo", "bp", "pdet", "cnf", "homs", "reductions", "selftest"}
     assert not {f"paracount.{name}" for name in unused} & set(loaded)
     assert "paracount.walks" in loaded
+
+
+def test_counting_processes_do_not_load_typing(tmp_path):
+    files = {"@graph": write(tmp_path, "g.json", DIAMOND),
+             "@phi": write(tmp_path, "phi.json",
+                           {"atom": "E", "args": [{"var": "x"}, {"var": "y"}]}),
+             "@structure": write(tmp_path, "A.json", STRUCTURE),
+             "@matrix": write(tmp_path, "m.json", {"n": 2, "rows": [[1, 1], [1, 1]]}),
+             "@program": write(tmp_path, "bp.json", PROGRAM)}
+    runs = [[files.get(arg, arg) for arg in argv] for argv in (
+        ("reach", "--graph", "@graph", "--k", "3"),
+        ("mc", "--formula", "@phi", "--structure", "@structure", "--k", "1", "--local"),
+        ("pdet", "--matrix", "@matrix", "--k", "2"),
+        ("bp", "--program", "@program", "--x", "1", "--method", "fast"),
+    )]
+    # -S keeps `site` from importing `typing`; one process runs all four
+    # subcommands, so whatever any of them imports is in its sys.modules.
+    *reports, result = fresh_python(
+        "import json, sys\n"
+        "from paracount.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, 'typing' in sys.modules]))\n",
+        "-S",
+    ).splitlines()
+    assert len(reports) == 4 and json.loads(result) == [[0, 0, 0, 0], False]
+
+
+#: One valid document per input format, with the command line that reads it.
+FUZZ_DOCUMENTS = {
+    "graph": ({**DIAMOND, "colours": [1, 2, 2, 3]}, ("reachcolour", "--graph", "@in", "--k", "3")),
+    "cnf-graph": ({**DIAMOND, "clauses": [[1, -3]]},
+                  ("reach2cnf", "--graph", "@in", "--a", "2", "--k", "1")),
+    "matrix": ({"n": 2, "rows": [[1, 1], [0, 1]]}, ("pdet", "--matrix", "@in", "--k", "2")),
+    "program": ({**PROGRAM, "layers": [[0], [1], [2]], "edges": [[0, 1, 1], [1, 2, None]],
+                 "labels": {"0": {"x": 1}, "1": {"pass": True}}, "sink": 2}, BP_ARGV),
+    "formula": ({"op": "and", "args": [
+        {"atom": "E", "args": [{"var": "x"}, {"const": "c"}]},
+        {"op": "not", "args": [{"eq": [{"var": "x"}, {"var": "y"}]}]}]},
+        ("mc", "--formula", "@in", "--structure", "@structure", "--k", "4")),
+    "structure": ({**STRUCTURE, "vocabulary": {"relations": [["E", 2]], "constants": ["c"]},
+                   "constantValues": {"c": 1}},
+                  ("mc", "--formula", "@phi", "--structure", "@in", "--k", "1", "--local")),
+    "reduce-walks": ({"graph": {"n": 3, "edges": [[0, 1], [1, 2]], "colours": [1, 2, 3]},
+                      "s": 0, "t": 2, "k": 3},
+                     ("reduce", "--name", "reachcolour-to-hom", "--in", "@in", "--out", "@out")),
+    "reduce-hom": ({"n": 2, "k": 2, "target": {
+        "vocabulary": {"relations": [["E", 2], ["C_1", 1], ["C_2", 1]]}, "universeSize": 2,
+        "interpretation": {"E": [[0, 1], [1, 0]], "C_1": [[0]], "C_2": [[1]]}}},
+                   ("reduce", "--name", "hom-to-reach", "--in", "@in", "--out", "@out")),
+}
+FUZZ_VALUES = (None, True, -1, 0, 1.5, "x", [], {}, [[0]])
+
+
+def _slots(doc, path=()):
+    """Every (path, value) inside ``doc``, the document itself first."""
+    yield path, doc
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from _slots(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    """(format, document, strict): one valid document with one key dropped or
+    added, one value replaced, or the whole wrapped in a list.  ``strict`` is
+    set where the reader must name the fault, not print a Python repr."""
+    name = draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+    doc = json.loads(json.dumps(FUZZ_DOCUMENTS[name][0]))
+    how = draw(st.sampled_from(("drop", "add", "replace", "wrap")))
+    if how == "wrap":
+        return name, [doc], False
+    slots = list(_slots(doc))
+    if how == "add":
+        _, target = draw(st.sampled_from([s for s in slots if isinstance(s[1], dict)]))
+        target[draw(st.sampled_from(("extra", "n", "args", "x")))] = 1
+        return name, doc, False
+    if how == "drop":  # a key, that is, a path ending in a string
+        path, old = draw(st.sampled_from([s for s in slots if s[0] and isinstance(s[0][-1], str)]))
+    else:
+        path, old = draw(st.sampled_from(slots))
+    value = draw(st.sampled_from(FUZZ_VALUES))
+    if not path:
+        return name, value, not isinstance(value, dict)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[path[-1]]
+        return name, doc, True
+    parent[path[-1]] = value
+    return name, doc, isinstance(old, dict) and not isinstance(value, dict)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_documents())
+def test_mutated_documents_exit_with_a_stable_code(tmp_path, case):
+    name, doc, strict = case
+    files = {"@in": write(tmp_path, "in.json", doc), "@out": str(tmp_path / "out.json"),
+             "@structure": write(tmp_path, "A.json", FUZZ_DOCUMENTS["structure"][0]),
+             "@phi": write(tmp_path, "phi.json",
+                           {"atom": "E", "args": [{"var": "x"}, {"const": "c"}]})}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([files.get(arg, arg) for arg in FUZZ_DOCUMENTS[name][1]])
+    err = err.getvalue()
+    assert code == 0 or (code == 1 and re.match(r"error: [a-z0-9-]+: ", err)), (name, doc, err)
+    assert "Traceback" not in err
+    if strict:
+        assert "KeyError(" not in err and "AttributeError(" not in err, (name, doc, err)
