@@ -20,15 +20,16 @@ source-sink path, halved at each y read.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_fields, read_int
+from .errors import (DEFAULT_LIMIT, CountingError, Record, check_limit, read_array, read_fields,
+                     read_int)
 
 Label = tuple  # ("x", i) | ("y", j) | ("pass",)
 
 
-@dataclass(frozen=True)
-class BranchingProgram:
+class BranchingProgram(Record):
+    _fields = ("layers", "labels", "edges", "num_x", "num_y", "source", "sink")
+    __slots__ = (*_fields, "label_map", "out_map")  # the maps are derived, not compared
     layers: tuple[tuple[int, ...], ...]
     labels: tuple[tuple[int, Label], ...]  # sorted (node, label) pairs
     edges: tuple[tuple[int, int, int | None], ...]
@@ -36,16 +37,15 @@ class BranchingProgram:
     num_y: int
     source: int
     sink: int
-    label_map: dict[int, Label] = field(init=False, repr=False, compare=False)
-    out_map: dict[int, list[tuple[int, int | None]]] = field(
-        init=False, repr=False, compare=False)
+    label_map: dict[int, Label]
+    out_map: dict[int, list[tuple[int, int | None]]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "label_map", dict(self.labels))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         out: dict = {}
         for u, v, bit in self.edges:
             out.setdefault(u, []).append((v, bit))
-        object.__setattr__(self, "out_map", out)
+        self._set(label_map=dict(self.labels), out_map=out)
 
     def label_of(self, node: int) -> Label:
         return self.label_map.get(node, ("pass",))
@@ -208,21 +208,21 @@ def bp_count_acc(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReadOnceCertificate:
+class ReadOnceCertificate(Record):
     """Cut layers i_0 < i_1 < ... < i_m: y_j occurs only in [i_{j-1}, i_j].
 
     Trailing cuts may exceed the top layer index when the last bands are
     empty of occurrences.
     """
 
+    __slots__ = _fields = ("cut_layers",)
     cut_layers: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(Record):
     """Names a pair of y variables whose occurrence layers cannot be banded."""
 
+    __slots__ = _fields = ("earlier_variable", "later_variable", "reason")
     earlier_variable: int
     later_variable: int
     reason: str
@@ -415,10 +415,12 @@ def bp_from_json(obj: dict) -> BranchingProgram:
     edges = [
         (read_int(u, "node"), read_int(v, "node"),
          None if bit is None else read_int(bit, "edge bit"))
-        for u, v, bit in obj.get("edges", [])
+        for u, v, bit in (read_array(e, "edge", 3)
+                          for e in read_array(obj.get("edges", []), '"edges"'))
     ]
     return validate_bp(
-        [[read_int(v, "node") for v in layer] for layer in obj["layers"]],
+        [[read_int(v, "node") for v in read_array(layer, "layer")]
+         for layer in read_array(obj["layers"], '"layers"')],
         labels,
         edges,
         read_int(obj["numX"], "numX"),

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .errors import DEFAULT_LIMIT, CountingError
+from .errors import DEFAULT_LIMIT, CountingError, read_array
 from .graphs import graph_from_json
 
 #: The keys of `reductions.standard_records()`, spelt out so that building
@@ -71,13 +71,13 @@ def _endpoints(parts: dict, args) -> tuple[int, int]:
 
 
 def _load_cnf(cnfm, parts: dict, args):
-    inline = parts.get("clauses")
-    if args.cnf and inline is not None:
+    if args.cnf and "clauses" in parts:
         raise CountingError("two-cnf-sources", "use --cnf or inline clauses, not both")
     if args.cnf:
         return cnfm.parse_dimacs(_read(args.cnf))
-    if inline is not None:
-        return cnfm.EdgeCNF.from_dimacs_literals(inline)
+    if "clauses" in parts:
+        clauses = read_array(parts["clauses"], '"clauses"')
+        return cnfm.EdgeCNF.from_dimacs_literals([read_array(c, "clause") for c in clauses])
     return cnfm.EdgeCNF.empty()
 
 

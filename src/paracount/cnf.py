@@ -9,22 +9,21 @@ edges are true, every other edge of the graph is false.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_int
+from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit, read_int
 from .graphs import DirectedGraph, check_vertex, cycles_of
 from .walks import ceil_log2, _check_degree_bound, propagate
 
 Literal = tuple[int, bool]  # (edge id, required value)
 
 
-@dataclass(frozen=True)
-class EdgeCNF:
+class EdgeCNF(Record):
     """CNF over edge variables of a carrier graph.
 
     An empty CNF is always satisfied; an empty clause never is.
     """
 
+    __slots__ = _fields = ("clauses",)
     clauses: tuple[tuple[Literal, ...], ...]
 
     @classmethod

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_fields, read_int, read_name
+from .errors import (DEFAULT_LIMIT, CountingError, Record, check_limit, read_array, read_fields,
+                     read_int, read_name)
 from .walks import propagate
 
 
@@ -26,12 +26,13 @@ from .walks import propagate
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Record):
+    __slots__ = _fields = ("relations", "constants")
+    _defaults = {"constants": ()}
     relations: tuple[tuple[str, int], ...]
-    constants: tuple[str, ...] = ()
+    constants: tuple[str, ...]
 
-    def __post_init__(self):
+    def _check(self):
         names = [name for name, _ in self.relations] + list(self.constants)
         if len(names) != len(set(names)):
             raise CountingError("duplicate-symbol", "vocabulary names must be unique")
@@ -62,9 +63,9 @@ class RelationalStructure:
                     "symbol-not-interpreted", f"relation {name} not in vocabulary"
                 )
         for name, arity in vocab.relations:
-            tuples = set()
+            tuples, what = set(), f"tuple of {name}"
             for tup in interpretation.get(name, ()):
-                tup = tuple(read_int(x, "element") for x in tup)
+                tup = tuple([read_int(x, "element") for x in read_array(tup, what)])
                 if len(tup) != arity:
                     raise CountingError(
                         "bad-arity",
@@ -115,33 +116,33 @@ class RelationalStructure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
+    __slots__ = _fields = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class ConstRef:
+class ConstRef(Record):
+    __slots__ = _fields = ("name",)
     name: str
 
 
 Term = Var | ConstRef
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
+    __slots__ = _fields = ("relation", "args")
     relation: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
+    __slots__ = _fields = ("left", "right")
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Connective:
+class Connective(Record):
+    __slots__ = _fields = ("op", "children")
     op: str  # "and" | "or" | "not"
     children: tuple["Node", ...]
 
@@ -510,20 +511,15 @@ def formula_node_from_json(obj: dict) -> Node:
 
 
 def _args_of(obj: dict) -> list:
-    args = obj.get("args", [])
-    if not isinstance(args, (list, tuple)):
-        raise CountingError("malformed-formula", f"args {args!r} is not a list")
-    return args
+    return read_array(obj.get("args", []), '"args"', code="malformed-formula")
 
 
 def _leaf_from_json(obj: dict, kind: str) -> Atom | Eq:
     if kind == "atom":
         relation = read_name(obj["atom"], "relation", "malformed-formula")
         return Atom(relation, tuple(term_from_json(t) for t in _args_of(obj)))
-    pair = obj["eq"]
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise CountingError("malformed-formula", "eq takes two terms")
-    return Eq(term_from_json(pair[0]), term_from_json(pair[1]))
+    left, right = read_array(obj["eq"], '"eq"', 2, "malformed-formula")
+    return Eq(term_from_json(left), term_from_json(right))
 
 
 def formula_from_json(obj: dict) -> QFFormula:
@@ -544,16 +540,17 @@ def structure_from_json(obj: dict) -> RelationalStructure:
     voc = read_fields(obj.get("vocabulary", {}), "vocabulary", (), ("relations", "constants"))
     interpretation = obj.get("interpretation", {})
     constant_values = obj.get("constantValues", {})
+    relations = [read_array(r, "relation", 2)
+                 for r in read_array(voc.get("relations", []), '"relations"')]
     vocab = Vocabulary(
-        tuple((read_name(name, "relation"), read_int(arity, "arity"))
-              for name, arity in voc.get("relations", [])),
-        tuple(read_name(c, "constant") for c in voc.get("constants", [])),
+        tuple((read_name(name, "relation"), read_int(arity, "arity")) for name, arity in relations),
+        tuple(read_name(c, "constant") for c in read_array(voc.get("constants", []), '"constants"')),
     )
     return RelationalStructure(
         vocab,
         read_int(obj["universeSize"], "universeSize"),
         {
-            name: [tuple(t) for t in tuples]
+            name: read_array(tuples, f'"{name}"')
             for name, tuples in read_fields(
                 interpretation, '"interpretation"', (), interpretation).items()
         },

@@ -7,19 +7,18 @@ are plain Python ints, so they are exact at any magnitude.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .errors import (DEFAULT_LIMIT, CountingError, Record, check_limit, read_array, read_fields,
+                     read_int)
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_fields, read_int
 
-
-@dataclass(frozen=True)
-class DirectedGraph:
+class DirectedGraph(Record):
     """Simple digraph (no duplicate arcs; self-loops allowed)."""
 
+    __slots__ = _fields = ("n", "edges")
     n: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 0:
             raise CountingError("vertex-count-negative", f"n = {self.n}")
         seen = set()
@@ -56,30 +55,31 @@ def validate_graph(n: int, edges) -> DirectedGraph:
     """Build a DirectedGraph from raw data, rejecting malformed input."""
     return DirectedGraph(
         read_int(n, "n"),
-        tuple((read_int(u, "endpoint"), read_int(v, "endpoint")) for u, v in edges),
+        tuple((read_int(u, "endpoint"), read_int(v, "endpoint"))
+              for u, v in (read_array(e, "edge", 2) for e in read_array(edges, '"edges"'))),
     )
 
 
-@dataclass(frozen=True)
-class VertexColouring:
+class VertexColouring(Record):
     """A total colouring ``vertex -> {1, ..., m}`` of a digraph.
 
     ``m`` is derived as the largest colour in use.
     """
 
+    __slots__ = _fields = ("graph", "colours", "m")
     graph: DirectedGraph
     colours: tuple[int, ...]
-    m: int = field(init=False)
+    m: int
 
-    def __post_init__(self):
-        if len(self.colours) != self.graph.n:
+    def __init__(self, graph: DirectedGraph, colours: tuple[int, ...]):
+        if len(colours) != graph.n:
             raise CountingError(
                 "colouring-incomplete",
-                f"{len(self.colours)} colours for {self.graph.n} vertices",
+                f"{len(colours)} colours for {graph.n} vertices",
             )
-        if any(c < 1 for c in self.colours):
+        if any(c < 1 for c in colours):
             raise CountingError("colour-not-positive", "colours must be >= 1")
-        object.__setattr__(self, "m", max(self.colours, default=0))
+        self._set(graph=graph, colours=colours, m=max(colours, default=0))
 
     def colour_of(self, v: int) -> int:
         return self.colours[v]
@@ -196,7 +196,7 @@ def graph_from_json(obj: dict, extra_fields: set[str] = frozenset()) -> dict:
     g = validate_graph(obj["n"], obj["edges"])
     parts: dict = {"graph": g}
     if "colours" in obj:
-        colours = tuple(read_int(c, "colour") for c in obj["colours"])
+        colours = tuple(read_int(c, "colour") for c in read_array(obj["colours"], '"colours"'))
         parts["colouring"] = VertexColouring(g, colours)
     for key in ("s", "t"):
         if key in obj:

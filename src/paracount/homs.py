@@ -15,22 +15,21 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit
+from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit
 from .fo import RelationalStructure, Vocabulary
 from .graphs import DirectedGraph
 from .walks import count_reach
 
 
 def path_star_vocabulary(n: int) -> Vocabulary:
-    return Vocabulary((("E", 2),) + tuple((f"C_{i}", 1) for i in range(1, n + 1)))
+    return Vocabulary((("E", 2),) + tuple((f"C_{i}", 1) for i in range(1, n + 1)), ())
 
 
-@dataclass(frozen=True)
-class PathStarStructure:
+class PathStarStructure(Record):
     """P_n* realised as a relational structure; n >= 2."""
 
+    __slots__ = _fields = ("n", "structure")
     n: int
     structure: RelationalStructure
 

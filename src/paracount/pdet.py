@@ -30,18 +30,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
-from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_fields, read_int
+from .errors import (DEFAULT_LIMIT, CountingError, Record, check_limit, read_array, read_fields,
+                     read_int)
 from .walks import propagate
 
 
-@dataclass(frozen=True)
-class ZeroOneMatrix:
+class ZeroOneMatrix(Record):
+    __slots__ = _fields = ("n", "rows")
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise CountingError("bad-matrix-shape", f"expected {self.n}x{self.n}")
         for row in self.rows:
@@ -100,14 +100,14 @@ def pdet_direct(a: ZeroOneMatrix, k: int, limit: int = DEFAULT_LIMIT) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Clow:
+class Clow(Record):
     """A closed walk given by its body; the closing edge back to the head
     is implicit.  body[0] is the head: the minimum vertex, never revisited."""
 
+    __slots__ = _fields = ("body",)
     body: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.body:
             raise CountingError("invalid-clow-sequence", "empty clow body")
         head = self.body[0]
@@ -138,14 +138,14 @@ class Clow:
         return len(set(self.body)) == len(self.body)
 
 
-@dataclass(frozen=True)
-class ClowSequence:
+class ClowSequence(Record):
     """Clows with strictly ascending heads over ambient vertices 0..n-1."""
 
+    __slots__ = _fields = ("clows", "n")
     clows: tuple[Clow, ...]
     n: int
 
-    def __post_init__(self):
+    def _check(self):
         heads = [c.head for c in self.clows]
         if heads != sorted(set(heads)):
             raise CountingError(
@@ -411,7 +411,8 @@ def det_cross_check(a: ZeroOneMatrix) -> int:
 
 def matrix_from_json(obj: dict) -> ZeroOneMatrix:
     read_fields(obj, "matrix file", ("n", "rows"))
-    mat = ZeroOneMatrix.from_rows(obj["rows"])
+    rows = read_array(obj["rows"], '"rows"')
+    mat = ZeroOneMatrix.from_rows(read_array(row, "row") for row in rows)
     if mat.n != read_int(obj["n"], "n"):
         raise CountingError("bad-matrix-shape", "'n' disagrees with row count")
     return mat

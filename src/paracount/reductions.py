@@ -11,9 +11,8 @@ disagreement instead of raising.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
-from .errors import CountingError, read_fields, read_int
+from .errors import CountingError, Record, read_fields, read_int
 from .fo import (Atom, ConstRef, Connective, Eq, QFFormula, RelationalStructure, Var, Vocabulary,
                  formula_node_to_json, structure_from_json, structure_to_json)
 from .graphs import DirectedGraph, VertexColouring, check_vertex, graph_from_json, graph_to_json
@@ -167,8 +166,7 @@ def _has_cycle(g: DirectedGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
+class ReductionRecord(Record):
     """An executable reduction, its parameter bound and its file formats.
 
     ``transform`` maps a source instance (an argument tuple) to its output,
@@ -179,18 +177,20 @@ class ReductionRecord:
     sidecar fields beyond ``name`` and ``kPrime``.
     """
 
+    __slots__ = _fields = ("name", "transform", "bound_ok", "read", "write", "param_of")
+    _defaults = {"param_of": lambda transformed: transformed[-1]}
     name: str
     transform: Callable
     bound_ok: Callable[[object, int], bool]
     read: Callable[[object], tuple]
     write: Callable[[tuple], tuple[object, dict]]
-    param_of: Callable[[tuple], int] = lambda transformed: transformed[-1]
+    param_of: Callable[[tuple], int]
 
 
-@dataclass
 class ParsimonyReport:
-    reduction: str
-    rows: list[dict] = field(default_factory=list)
+    def __init__(self, reduction: str):
+        self.reduction = reduction
+        self.rows: list[dict] = []
 
     @property
     def all_pass(self) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import bp as bpm
 from . import cnf as cnfm
@@ -24,21 +23,18 @@ from . import homs as homm
 from . import pdet as pdm
 from . import reductions as redm
 from . import walks as wkm
+from .errors import Record
 from .graphs import DirectedGraph, VertexColouring, enumerate_walks
 
 
-@dataclass(frozen=True)
-class Scale:
-    clow_matrices: int
-    involution_random_matrices: int
-    det_matrices: int
-    backedge_dags: int
-    walk_instances: int
-    cnf_instances: int
-    mc_formulas: int
-    parsimony_instances: int
-    hom_targets: int
-    bp_programs: int
+class Scale(Record):
+    """How many random instances or trials each property of the battery draws."""
+
+    __slots__ = _fields = (
+        "clow_matrices", "involution_random_matrices", "det_matrices", "backedge_dags",
+        "walk_instances", "cnf_instances", "mc_formulas", "parsimony_instances", "hom_targets",
+        "bp_programs",
+    )
 
 
 SMOKE = Scale(
@@ -170,7 +166,7 @@ def rand_local_formula(
 
 def rand_structure(rng: random.Random, max_universe: int = 5) -> fom.RelationalStructure:
     n = rng.randint(1, max_universe)
-    vocab = fom.Vocabulary((("E", 2), ("P", 1)))
+    vocab = fom.Vocabulary((("E", 2), ("P", 1)), ())
     edges = {
         (u, v) for u in range(n) for v in range(n) if rng.random() < 0.4
     }

@@ -146,6 +146,12 @@ def test_reach2cnf_inline_and_dimacs(tmp_path, capsys):
         "--cnf", str(dimacs),
     )
     assert code == 0 and json.loads(out)["count"] == "1"
+    # A "clauses" field is a second source even when it is null.
+    both = write(tmp_path, "g3.json", {**DIAMOND, "clauses": None})
+    code, _, err = run(
+        capsys, "reach2cnf", "--graph", both, "--a", "2", "--k", "1", "--cnf", str(dimacs),
+    )
+    assert code == 1 and err.startswith("error: two-cnf-sources:")
 
 
 def test_cyclecover2cnf(tmp_path, capsys):
@@ -687,28 +693,38 @@ def test_reach_process_loads_only_the_walk_modules(tmp_path):
 
 
 def test_counting_processes_do_not_load_typing(tmp_path):
+    target = FUZZ_DOCUMENTS["reduce-hom"][0]["target"]
     files = {"@graph": write(tmp_path, "g.json", DIAMOND),
+             "@cnf": write(tmp_path, "cnf.json", {**DIAMOND, "clauses": [[1, -3]]}),
              "@phi": write(tmp_path, "phi.json",
                            {"atom": "E", "args": [{"var": "x"}, {"var": "y"}]}),
              "@structure": write(tmp_path, "A.json", STRUCTURE),
              "@matrix": write(tmp_path, "m.json", {"n": 2, "rows": [[1, 1], [1, 1]]}),
-             "@program": write(tmp_path, "bp.json", PROGRAM)}
+             "@program": write(tmp_path, "bp.json", PROGRAM),
+             "@target": write(tmp_path, "B.json", target),
+             "@reduce": write(tmp_path, "in.json", FUZZ_DOCUMENTS["reduce-hom"][0]),
+             "@out": str(tmp_path / "out.json")}
     runs = [[files.get(arg, arg) for arg in argv] for argv in (
         ("reach", "--graph", "@graph", "--k", "3"),
+        ("reach2cnf", "--graph", "@cnf", "--a", "2", "--k", "1"),
         ("mc", "--formula", "@phi", "--structure", "@structure", "--k", "1", "--local"),
+        ("hom", "--n", "2", "--target", "@target", "--k", "2"),
         ("pdet", "--matrix", "@matrix", "--k", "2"),
         ("bp", "--program", "@program", "--x", "1", "--method", "fast"),
+        ("reduce", "--name", "hom-to-reach", "--in", "@reduce", "--out", "@out"),
     )]
-    # -S keeps `site` from importing `typing`; one process runs all four
-    # subcommands, so whatever any of them imports is in its sys.modules.
+    # -S keeps `site` from importing `typing`; one process runs a subcommand
+    # of every counting module and imports the self-test battery, so
+    # whatever any of them imports is in its sys.modules.
     *reports, result = fresh_python(
         "import json, sys\n"
         "from paracount.cli import main\n"
         f"codes = [main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, 'typing' in sys.modules]))\n",
+        "import paracount.selftest\n"
+        "print(json.dumps([codes, sorted({'typing', 'dataclasses', 'inspect'} & sys.modules.keys())]))\n",
         "-S",
     ).splitlines()
-    assert len(reports) == 4 and json.loads(result) == [[0, 0, 0, 0], False]
+    assert len(reports) == len(runs) and json.loads(result) == [[0] * len(runs), []]
 
 
 #: One valid document per input format, with the command line that reads it.
@@ -748,41 +764,44 @@ def _slots(doc, path=()):
 
 @st.composite
 def mutated_documents(draw):
-    """(format, document, strict): one valid document with one key dropped or
-    added, one value replaced, or the whole wrapped in a list.  ``strict`` is
-    set where the reader must name the fault, not print a Python repr."""
+    """(format, document, strict, array): one valid document with one key
+    dropped or added, one value replaced, or the whole wrapped in a list.
+    ``strict`` is set where the reader must name the fault, not print a Python
+    repr; ``array`` is set where a JSON array was replaced by a scalar, which
+    must not end in a TypeError or ValueError repr either."""
     name = draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
     doc = json.loads(json.dumps(FUZZ_DOCUMENTS[name][0]))
     how = draw(st.sampled_from(("drop", "add", "replace", "wrap")))
     if how == "wrap":
-        return name, [doc], False
+        return name, [doc], False, False
     slots = list(_slots(doc))
     if how == "add":
         _, target = draw(st.sampled_from([s for s in slots if isinstance(s[1], dict)]))
         target[draw(st.sampled_from(("extra", "n", "args", "x")))] = 1
-        return name, doc, False
+        return name, doc, False, False
     if how == "drop":  # a key, that is, a path ending in a string
         path, old = draw(st.sampled_from([s for s in slots if s[0] and isinstance(s[0][-1], str)]))
     else:
         path, old = draw(st.sampled_from(slots))
     value = draw(st.sampled_from(FUZZ_VALUES))
     if not path:
-        return name, value, not isinstance(value, dict)
+        return name, value, not isinstance(value, dict), False
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if how == "drop":
         del parent[path[-1]]
-        return name, doc, True
+        return name, doc, True, False
     parent[path[-1]] = value
-    return name, doc, isinstance(old, dict) and not isinstance(value, dict)
+    return (name, doc, isinstance(old, dict) and not isinstance(value, dict),
+            isinstance(old, list) and not isinstance(value, (dict, list)))
 
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_documents())
 def test_mutated_documents_exit_with_a_stable_code(tmp_path, case):
-    name, doc, strict = case
+    name, doc, strict, array = case
     files = {"@in": write(tmp_path, "in.json", doc), "@out": str(tmp_path / "out.json"),
              "@structure": write(tmp_path, "A.json", FUZZ_DOCUMENTS["structure"][0]),
              "@phi": write(tmp_path, "phi.json",
@@ -795,3 +814,5 @@ def test_mutated_documents_exit_with_a_stable_code(tmp_path, case):
     assert "Traceback" not in err
     if strict:
         assert "KeyError(" not in err and "AttributeError(" not in err, (name, doc, err)
+    if array:
+        assert "TypeError(" not in err and "ValueError(" not in err, (name, doc, err)
