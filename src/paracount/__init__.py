@@ -22,7 +22,6 @@ _EXPORTS = {
         "DirectedGraph",
         "VertexColouring",
         "enumerate_walks",
-        "max_out_degree",
         "validate_graph",
         "walk_count_matrix",
     ),
@@ -32,6 +31,7 @@ _EXPORTS = {
         "count_reach",
         "count_reach_colour",
         "log_gate_passes",
+        "max_out_degree",
     ),
     "cnf": (
         "EdgeCNF",

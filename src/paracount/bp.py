@@ -70,30 +70,31 @@ def validate_bp(
     source: int,
     sink: int,
 ) -> BranchingProgram:
-    """Build a BranchingProgram, rejecting malformed input."""
-    layer_tuple = tuple(tuple(int(v) for v in layer) for layer in layers)
+    """Build a BranchingProgram, rejecting malformed input; a node id, width,
+    label index or edge bit that is not an int (a bool, say) is refused,
+    never converted: a bit with ``bad-bit-label``, the rest ``not-an-integer``."""
+    layer_tuple = tuple(tuple(read_int(v, "node") for v in layer) for layer in layers)
     all_nodes = [v for layer in layer_tuple for v in layer]
     if len(all_nodes) != len(set(all_nodes)):
         raise CountingError("not-layered", "a node appears in two layers")
     node_set = set(all_nodes)
-    if num_x < 0 or num_y < 0:
+    if read_int(num_x, "numX") < 0 or read_int(num_y, "numY") < 0:
         raise CountingError("bad-width", "numX and numY must be >= 0")
-    if not layer_tuple or source not in layer_tuple[0]:
+    if not layer_tuple or read_int(source, "source") not in layer_tuple[0]:
         raise CountingError("source-sink-misplaced", "source must sit in layer 0")
-    if sink not in layer_tuple[-1]:
+    if read_int(sink, "sink") not in layer_tuple[-1]:
         raise CountingError("source-sink-misplaced", "sink must sit in the last layer")
     norm_labels = {}
     for node, label in labels.items():
-        node = int(node)
-        if node not in node_set:
+        if read_int(node, "label node") not in node_set:
             raise CountingError("not-layered", f"label for unknown node {node}")
         if label[0] == "x":
-            if not (1 <= label[1] <= num_x):
+            if not (1 <= read_int(label[1], "label x") <= num_x):
                 raise CountingError(
                     "label-out-of-range", f"x_{label[1]} with numX = {num_x}"
                 )
         elif label[0] == "y":
-            if not (1 <= label[1] <= num_y):
+            if not (1 <= read_int(label[1], "label y") <= num_y):
                 raise CountingError(
                     "label-out-of-range", f"y_{label[1]} with numY = {num_y}"
                 )
@@ -103,8 +104,7 @@ def validate_bp(
     layer_index = {v: i for i, layer in enumerate(layer_tuple) for v in layer}
     norm_edges = []
     for u, v, bit in edges:
-        u, v = int(u), int(v)
-        if u not in node_set or v not in node_set:
+        if read_int(u, "node") not in node_set or read_int(v, "node") not in node_set:
             raise CountingError("not-layered", f"edge ({u}, {v}) off the node set")
         if layer_index[u] >= layer_index[v]:
             raise CountingError(
@@ -116,7 +116,7 @@ def validate_bp(
                 raise CountingError(
                     "bad-bit-label", f"pass node {u} must use null edge labels"
                 )
-        elif bit not in (0, 1):
+        elif type(bit) is not int or bit not in (0, 1):  # True and 1.0 too
             raise CountingError("bad-bit-label", f"edge ({u}, {v}) labelled {bit!r}")
         norm_edges.append((u, v, bit))
     program = BranchingProgram(

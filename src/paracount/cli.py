@@ -17,7 +17,6 @@ import sys
 import time
 
 from .errors import DEFAULT_LIMIT, CountingError, read_array
-from .graphs import graph_from_json
 
 #: The keys of `reductions.standard_records()`, spelt out so that building
 #: the parser imports no counting module (a test keeps the two equal).
@@ -49,9 +48,17 @@ def _load_json(path: str) -> dict:
 
 
 def _digest(payload) -> str:
-    import hashlib  # here, not at the top: a refusal never loads OpenSSL
-
-    return hashlib.sha256(
+    # The interpreter's own sha256 (`_sha2` from 3.12, `_sha256` before), not
+    # OpenSSL's through `hashlib`, which costs every process megabytes; loaded
+    # here, not at the top, so a refusal loads neither.
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
 
@@ -96,20 +103,24 @@ def _limit(text: str) -> int:
     return int(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="paracount", description="Exact parameterised counting at desk scale."
-    )
-    parser.add_argument(
-        "--limit",
-        type=_limit,  # argparse converts a string default too: a bad env value is a usage error
-        default=os.environ.get("PARACOUNT_LIMIT", str(DEFAULT_LIMIT)),
-        help="cap on the candidates of every exhaustive route (env PARACOUNT_LIMIT)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Subcommand:
+    """The ``parser_class`` of the subcommands: it builds a subcommand's parser
+    only once argparse selects that subcommand.  argparse calls nothing on a
+    subparser but ``parse_known_args`` (3.10 to 3.13; the usage tests hold
+    it to that), so the other subcommands keep their help line and choice
+    name without a parser of their own."""
 
-    def graph_command(name, help_text, *, s_t=True, a=False, b=False, cnf=False):
-        cmd = sub.add_parser(name, help=help_text)
+    def __init__(self, prog: str, add_arguments):
+        self.prog, self.add_arguments = prog, add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(prog=self.prog)
+        self.add_arguments(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _graph_arguments(*, s_t=True, a=False, b=False, cnf=False):
+    def add_arguments(cmd):
         cmd.add_argument("--graph", required=True)
         if s_t:
             cmd.add_argument("--s", type=int)
@@ -121,52 +132,68 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--b", type=int, default=2)
         if cnf:
             cmd.add_argument("--cnf", help="DIMACS file; else inline 'clauses'")
-        return cmd
+    return add_arguments
 
-    graph_command("reach", "s-t walks with exactly k vertices")
-    graph_command("logreach", "s-t walks of a edges under the log gate", a=True, b=True)
-    graph_command("logwalk", "all walks of a edges under the log gate", s_t=False, a=True, b=True)
-    graph_command("reachcolour", "colour-respecting s-t walks")
-    graph_command("reach2cnf", "CNF-constrained s-t walks of a edges", a=True, cnf=True)
-    graph_command("cyclecover2cnf", "CNF-constrained cycle covers", s_t=False, a=True, cnf=True)
 
-    mc = sub.add_parser("mc", help="satisfying assignments of a quantifier-free formula")
+def _mc_arguments(mc):
     mc.add_argument("--formula", required=True)
     mc.add_argument("--structure", required=True)
     mc.add_argument("--k", type=int, required=True)
     mc.add_argument("--local", action="store_true", help="use the locality sweep")
     mc.add_argument("--r", type=int, help="locality bound (default: computed)")
 
-    hom = sub.add_parser("hom", help="homomorphisms from the starred path")
+
+def _hom_arguments(hom):
     hom.add_argument("--n", type=int, required=True)
     hom.add_argument("--target", required=True)
     hom.add_argument("--k", type=int, required=True)
     hom.add_argument("--oracle", action="store_true", help="exhaustive map oracle")
 
-    det = sub.add_parser("pdet", help="parameterised determinant of a 0/1 matrix")
+
+def _pdet_arguments(det):
     det.add_argument("--matrix", required=True)
     det.add_argument("--k", type=int, required=True)
     det.add_argument("--method", choices=["direct", "clow"], default="direct")
 
-    bp = sub.add_parser("bp", help="branching-program acceptance and counting")
+
+def _bp_arguments(bp):
     bp.add_argument("--program", required=True)
     bp.add_argument("--x", required=True, help="ordinary input bits, e.g. 1011")
     bp.add_argument("--y", help="nondeterministic bits: report acceptance instead")
     bp.add_argument("--method", choices=["acc", "fast"], default="acc")
 
-    red = sub.add_parser("reduce", help="run a count-preserving instance transform")
+
+def _reduce_arguments(red):
     red.add_argument("--name", required=True, choices=REDUCTIONS)
     red.add_argument("--in", dest="infile", required=True)
     red.add_argument("--out", dest="outfile", required=True)
 
-    st = sub.add_parser("selftest", help="cross-oracle property battery")
+
+def _selftest_arguments(st):
     st.add_argument("--seed", type=int, default=7)
     st.add_argument("--scale", choices=["smoke", "full"], default="smoke")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="paracount", description="Exact parameterised counting at desk scale."
+    )
+    parser.add_argument(
+        "--limit",
+        type=_limit,  # argparse converts a string default too: a bad env value is a usage error
+        default=os.environ.get("PARACOUNT_LIMIT", str(DEFAULT_LIMIT)),
+        help="cap on the candidates of every exhaustive route (env PARACOUNT_LIMIT)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, (help_text, add_arguments, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
 
 def _graph(mod, args, started):
     """The six graph subcommands; ``mod`` is ``cnf`` for the two CNF ones, else ``walks``."""
+    from .graphs import graph_from_json  # here: pdet, mc and bp never read a graph
+
     extra = {"clauses"} if args.command.endswith("cnf") else set()
     obj = _load_json(args.graph)
     parts = graph_from_json(obj, extra_fields=extra)
@@ -279,19 +306,32 @@ def _selftest(stm, args, started) -> int:
     return 0 if ok else 1
 
 
-#: Subcommand -> (the `paracount` module its runner is handed, runner).  Runners
-#: call counters through that module, so a function rebound there is the one run.
+#: Subcommand -> (help line, the function that adds its arguments, the
+#: `paracount` module its runner is handed, runner).  Runners call counters
+#: through that module, so a function rebound there is the one run.
 COMMANDS = {
-    "reach": ("walks", _graph), "logreach": ("walks", _graph), "logwalk": ("walks", _graph),
-    "reachcolour": ("walks", _graph), "reach2cnf": ("cnf", _graph),
-    "cyclecover2cnf": ("cnf", _graph), "mc": ("fo", _mc), "hom": ("homs", _hom),
-    "pdet": ("pdet", _pdet), "bp": ("bp", _bp), "reduce": ("reductions", _reduce),
-    "selftest": ("selftest", _selftest),
+    "reach": ("s-t walks with exactly k vertices", _graph_arguments(), "walks", _graph),
+    "logreach": ("s-t walks of a edges under the log gate",
+                 _graph_arguments(a=True, b=True), "walks", _graph),
+    "logwalk": ("all walks of a edges under the log gate",
+                _graph_arguments(s_t=False, a=True, b=True), "walks", _graph),
+    "reachcolour": ("colour-respecting s-t walks", _graph_arguments(), "walks", _graph),
+    "reach2cnf": ("CNF-constrained s-t walks of a edges",
+                  _graph_arguments(a=True, cnf=True), "cnf", _graph),
+    "cyclecover2cnf": ("CNF-constrained cycle covers",
+                       _graph_arguments(s_t=False, a=True, cnf=True), "cnf", _graph),
+    "mc": ("satisfying assignments of a quantifier-free formula", _mc_arguments, "fo", _mc),
+    "hom": ("homomorphisms from the starred path", _hom_arguments, "homs", _hom),
+    "pdet": ("parameterised determinant of a 0/1 matrix", _pdet_arguments, "pdet", _pdet),
+    "bp": ("branching-program acceptance and counting", _bp_arguments, "bp", _bp),
+    "reduce": ("run a count-preserving instance transform", _reduce_arguments, "reductions",
+               _reduce),
+    "selftest": ("cross-oracle property battery", _selftest_arguments, "selftest", _selftest),
 }
 
 
 def _run(args) -> int:
-    module, runner = COMMANDS[args.command]
+    _, _, module, runner = COMMANDS[args.command]
     mod = importlib.import_module(f".{module}", __package__)
     return runner(mod, args, time.monotonic()) or 0
 

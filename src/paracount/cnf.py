@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit, read_int
-from .graphs import DirectedGraph, check_vertex, cycles_of
-from .walks import ceil_log2, _check_degree_bound, propagate
+from .graphs import DirectedGraph, cycles_of
+from .walks import ceil_log2, _check_degree_bound, check_vertex, propagate
 
 Literal = tuple[int, bool]  # (edge id, required value)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .errors import (DEFAULT_LIMIT, CountingError, Record, check_limit, read_array, read_fields,
                      read_int)
+from .walks import check_vertex, max_out_degree  # max_out_degree: kept importable from here
 
 
 class DirectedGraph(Record):
@@ -83,19 +84,6 @@ class VertexColouring(Record):
 
     def colour_of(self, v: int) -> int:
         return self.colours[v]
-
-
-def check_vertex(g: DirectedGraph, v: int, name: str) -> None:
-    if not (0 <= v < g.n):
-        raise CountingError("vertex-out-of-range", f"{name} = {v} not in [0, {g.n})")
-
-
-def max_out_degree(g: DirectedGraph) -> int:
-    """Largest out-degree; 0 for edgeless graphs."""
-    deg = [0] * g.n
-    for u, _ in g.edges:
-        deg[u] += 1
-    return max(deg, default=0)
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

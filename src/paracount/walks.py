@@ -20,7 +20,10 @@ import math
 from collections.abc import Callable
 
 from .errors import CountingError
-from .graphs import DirectedGraph, VertexColouring, check_vertex, max_out_degree
+
+# `DirectedGraph` and `VertexColouring` appear only in annotations, which are
+# never evaluated: `graphs` is not imported, since `pdet` and `fo` load this
+# module for `propagate` alone.
 
 
 def ceil_log2(x: int) -> int:
@@ -44,6 +47,19 @@ def propagate(start: dict, steps: int, step: Callable) -> dict:
                 nxt[v] = nxt.get(v, 0) + c
         counts = nxt
     return counts
+
+
+def check_vertex(g: DirectedGraph, v: int, name: str) -> None:
+    if not (0 <= v < g.n):
+        raise CountingError("vertex-out-of-range", f"{name} = {v} not in [0, {g.n})")
+
+
+def max_out_degree(g: DirectedGraph) -> int:
+    """Largest out-degree; 0 for edgeless graphs."""
+    deg = [0] * g.n
+    for u, _ in g.edges:
+        deg[u] += 1
+    return max(deg, default=0)
 
 
 def _check_degree_bound(g: DirectedGraph, b: int) -> None:

@@ -52,3 +52,14 @@ def test_merge_refuses_unmatched_runs_and_flags_wrong_counts(tmp_path):
         bench_merge.merge(parent, parent * 2, END_TO_END)
     wrong = [result(tmp_path, "w.json", 100, 0.5, "new", digest="x")]
     assert not bench_merge.merge(parent, wrong, END_TO_END)["results"][0]["all_correct"]
+
+
+def test_committed_bench_files_record_correct_counts():
+    paths = sorted(bench_merge.ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        for group in json.loads(path.read_text())["results"]:
+            where = (path.name, group["workload"], group["seed"])
+            assert group["all_correct"] is True, where
+            for run in group["parent"] + group["change"]:
+                assert run["counts_digest"] == run["reference_digest"], where

@@ -45,15 +45,31 @@ def test_validate_rejects_same_layer_edge():
 
 
 def test_validate_rejects_bad_bit():
-    with pytest.raises(CountingError) as err:
-        validate_bp([[0], [1]], {0: ("x", 1)}, [(0, 1, 2)], 1, 0, 0, 1)
-    assert err.value.code == "bad-bit-label"
+    for bit in (2, None, True, 1.0):
+        with pytest.raises(CountingError) as err:
+            validate_bp([[0], [1]], {0: ("x", 1)}, [(0, 1, bit)], 1, 0, 0, 1)
+        assert err.value.code == "bad-bit-label"
 
 
 def test_validate_rejects_misplaced_source():
     with pytest.raises(CountingError) as err:
         validate_bp([[0], [1]], {0: ("x", 1)}, [(0, 1, 1)], 1, 0, 1, 1)
     assert err.value.code == "source-sink-misplaced"
+
+
+@pytest.mark.parametrize("layers, labels, edges, source, sink", [
+    ([[0], [1.9]], {0: ("x", 1)}, [(0, 1.9, 1)], 0, 1),
+    ([[0], [1]], {0: ("x", 1)}, [(0, 1.9, 1)], 0, 1),
+    ([[0], [True]], {0: ("x", 1)}, [(0, True, 1)], 0, True),
+    ([[0], [1]], {True: ("x", 1)}, [(0, 1, 1)], 0, 1),
+    ([[0], [1]], {0: ("x", 1)}, [(0, 1, 1)], 0.0, 1),
+    ([[0], [1]], {0: ("x", 1)}, [(0, 1, 1)], 0, "1"),
+    ([[0], [1]], {0: ("x", 1.0)}, [(0, 1, 1)], 0, 1),
+])
+def test_validate_refuses_numbers_that_are_not_ints(layers, labels, edges, source, sink):
+    with pytest.raises(CountingError) as err:
+        validate_bp(layers, labels, edges, 1, 0, source, sink)
+    assert err.value.code == "not-an-integer"
 
 
 def test_accepts_x_tester():

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import paracount
 from paracount import reductions
-from paracount.cli import REDUCTIONS, main
+from paracount.cli import COMMANDS, REDUCTIONS, _digest, main
 
 DIAMOND = {"n": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]], "s": 0, "t": 3}
 
@@ -85,6 +87,39 @@ def test_usage_error_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reach"])  # --graph and --k missing
     assert exc.value.code == 2
+
+
+def usage(capsys, *argv):
+    """Exit code, stdout and stderr of a run that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_help_and_usage_errors_name_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # the help layout follows the terminal width
+    code, out, _ = usage(capsys, "--help")
+    assert code == 0
+    lines = out.splitlines()
+    rows = [next(i for i, line in enumerate(lines) if line.split() == [name, *help_text.split()])
+            for name, (help_text, *_) in COMMANDS.items()]
+    assert len(rows) == 12 and rows == sorted(rows)
+
+    code, _, err = usage(capsys, "nosuch")
+    assert code == 2
+    message = err.splitlines()[-1]
+    assert "nosuch" in message and set(COMMANDS) <= set(re.findall(r"[\w-]+", message))
+
+    code, _, err = usage(capsys, "reach")
+    assert code == 2 and err.startswith("usage: paracount reach") and "--graph, --k" in err
+
+    options = {"mc": ("--formula", "--structure", "--k", "--local", "--r"),
+               "bp": ("--program", "--x", "--y", "--method", "{acc,fast}")}
+    for command, names in options.items():
+        code, out, _ = usage(capsys, command, "-h")
+        assert code == 0 and out.startswith(f"usage: paracount {command}")
+        assert all(name in out for name in names), out
 
 
 def test_unknown_graph_field_rejected(tmp_path, capsys):
@@ -725,6 +760,87 @@ def test_counting_processes_do_not_load_typing(tmp_path):
         "-S",
     ).splitlines()
     assert len(reports) == len(runs) and json.loads(result) == [[0] * len(runs), []]
+
+
+def every_subcommand(tmp_path):
+    """A counting run of each subcommand: command line by name, in `COMMANDS` order."""
+    target = FUZZ_DOCUMENTS["reduce-hom"][0]["target"]
+    files = {"@graph": write(tmp_path, "g.json", DIAMOND),
+             "@colours": write(tmp_path, "gc.json", {**DIAMOND, "colours": [1, 2, 2, 3]}),
+             "@cnf": write(tmp_path, "cnf.json", {**DIAMOND, "clauses": [[1, -3]]}),
+             "@phi": write(tmp_path, "phi.json",
+                           {"atom": "E", "args": [{"var": "x"}, {"var": "y"}]}),
+             "@structure": write(tmp_path, "A.json", STRUCTURE),
+             "@matrix": write(tmp_path, "m.json", {"n": 2, "rows": [[1, 1], [1, 1]]}),
+             "@program": write(tmp_path, "bp.json", PROGRAM),
+             "@target": write(tmp_path, "B.json", target),
+             "@reduce": write(tmp_path, "in.json", FUZZ_DOCUMENTS["reduce-hom"][0]),
+             "@out": str(tmp_path / "out.json")}
+    runs = [
+        ("reach", "--graph", "@graph", "--k", "3"),
+        ("logreach", "--graph", "@graph", "--a", "2", "--k", "2"),
+        ("logwalk", "--graph", "@graph", "--a", "2", "--k", "2"),
+        ("reachcolour", "--graph", "@colours", "--k", "3"),
+        ("reach2cnf", "--graph", "@cnf", "--a", "2", "--k", "1"),
+        ("cyclecover2cnf", "--graph", "@cnf", "--a", "2", "--k", "1"),
+        ("mc", "--formula", "@phi", "--structure", "@structure", "--k", "1", "--local"),
+        ("hom", "--n", "2", "--target", "@target", "--k", "2"),
+        ("pdet", "--matrix", "@matrix", "--k", "2"),
+        ("bp", "--program", "@program", "--x", "1", "--method", "fast"),
+        ("reduce", "--name", "hom-to-reach", "--in", "@reduce", "--out", "@out"),
+        ("selftest", "--seed", "1"),
+    ]
+    assert [argv[0] for argv in runs] == list(COMMANDS)
+    return {argv[0]: [files.get(arg, arg) for arg in argv] for argv in runs}
+
+
+def loaded_by(argvs, *flags):
+    """Exit codes of ``main`` on each command line, run in turn by one new
+    interpreter, and the modules that interpreter then holds."""
+    *_, result = fresh_python(
+        "import json, sys\n"
+        "from paracount.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n",
+        *flags,
+    ).splitlines()
+    codes, modules = json.loads(result)
+    return codes, set(modules)
+
+
+DIGEST_PAYLOADS = [{}, [], {"command": "reach", "instance": DIAMOND, "k": 3},
+                   {"b": [1, None, True, 2.5], "a": "\u00e9" * 300}, list(range(5000))]
+
+
+def test_digest_is_the_first_16_hex_digits_of_sha256(monkeypatch):
+    want = [hashlib.sha256(json.dumps(p, sort_keys=True, separators=(",", ":")).encode())
+            .hexdigest()[:16] for p in DIGEST_PAYLOADS]
+    assert want[2] == "0352c9b3f9025264"  # the diamond's `reach` report
+    assert [_digest(p) for p in DIGEST_PAYLOADS] == want
+    # Without the interpreter's builtin sha256 the digest comes from hashlib.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert [_digest(p) for p in DIGEST_PAYLOADS] == want
+
+
+@pytest.mark.skipif(not (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")),
+                    reason="this interpreter has no builtin sha256 module")
+def test_counting_processes_do_not_load_openssl(tmp_path):
+    runs = every_subcommand(tmp_path)
+    codes, loaded = loaded_by(list(runs.values()), "-S")  # -S: nothing from site
+    assert codes == [0] * len(runs)
+    assert not {"hashlib", "_hashlib"} & loaded
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("pdet", {"graphs"}),
+    ("mc", {"graphs"}),  # with --local
+    ("bp", {"graphs", "walks"}),  # with --method fast
+])
+def test_pdet_mc_and_bp_processes_do_not_load_graphs(tmp_path, command, unused):
+    codes, loaded = loaded_by([every_subcommand(tmp_path)[command]])
+    assert codes == [0] and f"paracount.{COMMANDS[command][2]}" in loaded
+    assert not {f"paracount.{name}" for name in unused} & loaded
 
 
 #: One valid document per input format, with the command line that reads it.
