@@ -40,10 +40,9 @@ _EXPORTS = {
         "enumerate_cycle_covers",
         "eval_cnf",
     ),
+    "structures": ("RelationalStructure", "Vocabulary"),
     "fo": (
         "QFFormula",
-        "RelationalStructure",
-        "Vocabulary",
         "count_mc",
         "count_mc_local",
         "formula_size",

@@ -88,19 +88,20 @@ def validate_bp(
     for node, label in labels.items():
         if read_int(node, "label node") not in node_set:
             raise CountingError("not-layered", f"label for unknown node {node}")
-        if label[0] == "x":
-            if not (1 <= read_int(label[1], "label x") <= num_x):
-                raise CountingError(
-                    "label-out-of-range", f"x_{label[1]} with numX = {num_x}"
-                )
-        elif label[0] == "y":
-            if not (1 <= read_int(label[1], "label y") <= num_y):
-                raise CountingError(
-                    "label-out-of-range", f"y_{label[1]} with numY = {num_y}"
-                )
-        elif label[0] != "pass":
+        shape = tuple(label) if isinstance(label, (tuple, list)) else ()
+        if not (shape == ("pass",) or (len(shape) == 2 and shape[0] in ("x", "y"))):
             raise CountingError("bad-label", f"label {label!r}")
-        norm_labels[node] = tuple(label)
+        if shape[0] == "x":
+            if not (1 <= read_int(shape[1], "label x") <= num_x):
+                raise CountingError(
+                    "label-out-of-range", f"x_{shape[1]} with numX = {num_x}"
+                )
+        elif shape[0] == "y":
+            if not (1 <= read_int(shape[1], "label y") <= num_y):
+                raise CountingError(
+                    "label-out-of-range", f"y_{shape[1]} with numY = {num_y}"
+                )
+        norm_labels[node] = shape
     layer_index = {v: i for i, layer in enumerate(layer_tuple) for v in layer}
     norm_edges = []
     for u, v, bit in edges:

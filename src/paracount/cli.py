@@ -252,13 +252,13 @@ def _mc(fom, args, started):
 
 
 def _hom(homm, args, started):
-    from . import fo as fom  # already loaded by homs
-    target = fom.structure_from_json(_load_json(args.target))
+    from . import structures  # already loaded by homs
+    target = structures.structure_from_json(_load_json(args.target))
     if args.oracle and args.n <= args.k:
         count = homm.count_hom_oracle(homm.make_path_star(args.n).structure, target, args.limit)
     else:  # the layered route, which also answers the gate (n > k) after its pattern checks
         count = homm.count_hom_path_star(args.n, target, args.k)
-    payload = {"n": args.n, "k": args.k, "target": fom.structure_to_json(target)}
+    payload = {"n": args.n, "k": args.k, "target": structures.structure_to_json(target)}
     _report(count, args.n > args.k, started, payload)
 
 

@@ -17,8 +17,8 @@ import itertools
 from collections.abc import Mapping
 
 from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit
-from .fo import RelationalStructure, Vocabulary
 from .graphs import DirectedGraph
+from .structures import RelationalStructure, Vocabulary
 from .walks import count_reach
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from .errors import CountingError, Record, read_fields, read_int
-from .fo import (Atom, ConstRef, Connective, Eq, QFFormula, RelationalStructure, Var, Vocabulary,
-                 formula_node_to_json, structure_from_json, structure_to_json)
+from .fo import Atom, ConstRef, Connective, Eq, QFFormula, Var, formula_node_to_json
 from .graphs import DirectedGraph, VertexColouring, graph_from_json, graph_to_json
 from .homs import PathStarStructure, build_layered_reach_graph, make_path_star, path_star_vocabulary
 from .pdet import ZeroOneMatrix, matrix_to_json
+from .structures import RelationalStructure, Vocabulary, structure_from_json, structure_to_json
 from .walks import check_vertex
 
 

@@ -25,6 +25,7 @@ from . import reductions as redm
 from . import walks as wkm
 from .errors import Record
 from .graphs import DirectedGraph, VertexColouring, enumerate_walks
+from .structures import RelationalStructure, Vocabulary
 
 
 class Scale(Record):
@@ -164,19 +165,19 @@ def rand_local_formula(
     return fom.QFFormula(build(atoms))
 
 
-def rand_structure(rng: random.Random, max_universe: int = 5) -> fom.RelationalStructure:
+def rand_structure(rng: random.Random, max_universe: int = 5) -> RelationalStructure:
     n = rng.randint(1, max_universe)
-    vocab = fom.Vocabulary((("E", 2), ("P", 1)), ())
+    vocab = Vocabulary((("E", 2), ("P", 1)), ())
     edges = {
         (u, v) for u in range(n) for v in range(n) if rng.random() < 0.4
     }
     points = {(u,) for u in range(n) if rng.random() < 0.5}
-    return fom.RelationalStructure(vocab, n, {"E": edges, "P": points})
+    return RelationalStructure(vocab, n, {"E": edges, "P": points})
 
 
 def rand_path_star_target(
     rng: random.Random, n: int, max_universe: int = 5
-) -> fom.RelationalStructure:
+) -> RelationalStructure:
     """Random target with pairwise-disjoint colour classes and symmetric edges."""
     size = rng.randint(1, max_universe)
     colour_of = [rng.randint(0, n) for _ in range(size)]  # 0 = uncoloured
@@ -189,7 +190,7 @@ def rand_path_star_target(
     interpretation: dict[str, object] = {"E": edges}
     for i in range(1, n + 1):
         interpretation[f"C_{i}"] = {(u,) for u in range(size) if colour_of[u] == i}
-    return fom.RelationalStructure(homm.path_star_vocabulary(n), size, interpretation)
+    return RelationalStructure(homm.path_star_vocabulary(n), size, interpretation)
 
 
 def rand_coloured_instance(

@@ -51,6 +51,19 @@ def test_validate_rejects_bad_bit():
         assert err.value.code == "bad-bit-label"
 
 
+@pytest.mark.parametrize("label, bit", [
+    (("x",), 1),
+    ("x", 1),
+    (("y", 1, 2), 1),
+    (("pass", 5), None),
+])
+def test_validate_refuses_label_shapes(label, bit):
+    # Only ("pass",), ("x", i) and ("y", i) are labels; each edge bit here fits the label's kind.
+    with pytest.raises(CountingError) as err:
+        validate_bp([[0], [1]], {0: label}, [(0, 1, bit)], 1, 1, 0, 1)
+    assert err.value.code == "bad-label"
+
+
 def test_validate_rejects_misplaced_source():
     with pytest.raises(CountingError) as err:
         validate_bp([[0], [1]], {0: ("x", 1)}, [(0, 1, 1)], 1, 0, 1, 1)

@@ -843,6 +843,18 @@ def test_pdet_mc_and_bp_processes_do_not_load_graphs(tmp_path, command, unused):
     assert not {f"paracount.{name}" for name in unused} & loaded
 
 
+@pytest.mark.parametrize("command, used, unused", [
+    ("hom", {"homs", "structures"}, {"fo"}),
+    ("mc", {"fo", "structures"}, set()),  # with --local
+    ("reduce", {"reductions", "structures"}, set()),  # hom-to-reach
+])
+def test_hom_process_does_not_load_fo(tmp_path, command, used, unused):
+    codes, loaded = loaded_by([every_subcommand(tmp_path)[command]])
+    assert codes == [0]
+    assert {f"paracount.{name}" for name in used} <= loaded
+    assert not {f"paracount.{name}" for name in unused} & loaded
+
+
 #: One valid document per input format, with the command line that reads it.
 FUZZ_DOCUMENTS = {
     "graph": ({**DIAMOND, "colours": [1, 2, 2, 3]}, ("reachcolour", "--graph", "@in", "--k", "3")),

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import paracount.fo
+import paracount.structures
 from paracount.errors import CountingError
 from paracount.fo import (
     Atom,
@@ -292,3 +294,11 @@ def test_formula_and_structure_json_roundtrip():
 def test_structure_json_rejects_unknown_fields():
     with pytest.raises(CountingError):
         structure_from_json({"universeSize": 1, "extra": True})
+
+
+@pytest.mark.parametrize("name", ["Vocabulary", "RelationalStructure", "structure_from_json",
+                                  "structure_to_json"])
+def test_structure_names_stay_bound_in_fo(name):
+    # Callers that look these up in `fo` by name (the benchmark's tracer among
+    # them) must reach the very object `structures` defines.
+    assert getattr(paracount.fo, name) is getattr(paracount.structures, name)

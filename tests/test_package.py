@@ -18,14 +18,15 @@ EXPORTS = [
     "locality_radius", "log_gate_passes", "make_path_star", "max_arity", "max_out_degree",
     "pdet", "pdet_clow", "pdet_direct", "reduce_hom_to_reach",
     "reduce_reach_colour_to_hom", "reduce_reach_to_mc", "reduce_reach_to_pdet",
-    "reductions", "stagger", "validate_bp", "validate_graph", "verify_parsimonious",
+    "reductions", "stagger", "structures", "validate_bp", "validate_graph", "verify_parsimonious",
     "walk_count_matrix", "walks",
 ]
-SUBMODULES = {"bp", "cnf", "errors", "fo", "graphs", "homs", "pdet", "reductions", "walks"}
+SUBMODULES = {"bp", "cnf", "errors", "fo", "graphs", "homs", "pdet", "reductions", "structures",
+              "walks"}
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(EXPORTS) == 61
+    assert len(EXPORTS) == 62
     assert paracount.__all__ == EXPORTS
     for name in EXPORTS:
         value = getattr(paracount, name)
