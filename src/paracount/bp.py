@@ -406,28 +406,22 @@ def bp_from_json(obj: dict) -> BranchingProgram:
             raise CountingError("not-an-integer", f"label node {key!r} is not an integer")
         read_fields(label, f"label {key}", (), label)
         if "x" in label:
-            labels[int(node)] = ("x", read_int(label["x"], "label x"))
+            labels[int(node)] = ("x", label["x"])
         elif "y" in label:
-            labels[int(node)] = ("y", read_int(label["y"], "label y"))
+            labels[int(node)] = ("y", label["y"])
         elif label.get("pass"):
             labels[int(node)] = ("pass",)
         else:
             raise CountingError("bad-label", f"label {label!r}")
-    edges = [
-        (read_int(u, "node"), read_int(v, "node"),
-         None if bit is None else read_int(bit, "edge bit"))
-        for u, v, bit in (read_array(e, "edge", 3)
-                          for e in read_array(obj.get("edges", []), '"edges"'))
-    ]
+    # `validate_bp` refuses every id, width and label index that is not an int.
     return validate_bp(
-        [[read_int(v, "node") for v in read_array(layer, "layer")]
-         for layer in read_array(obj["layers"], '"layers"')],
+        [read_array(layer, "layer") for layer in read_array(obj["layers"], '"layers"')],
         labels,
-        edges,
-        read_int(obj["numX"], "numX"),
-        read_int(obj["numY"], "numY"),
-        read_int(obj["source"], "source"),
-        read_int(obj["sink"], "sink"),
+        [read_array(e, "edge", 3) for e in read_array(obj.get("edges", []), '"edges"')],
+        obj["numX"],
+        obj["numY"],
+        obj["source"],
+        obj["sink"],
     )
 
 

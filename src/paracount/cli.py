@@ -23,17 +23,21 @@ from .errors import DEFAULT_LIMIT, CountingError, read_array
 REDUCTIONS = ("hom-to-reach", "reach-to-mc", "reach-to-pdet", "reachcolour-to-hom")
 
 
-def _read(path: str) -> str:
+def _read(args, option: str) -> str:
+    """The text of the file named by ``option``, kept in ``args.inputs`` for the digest."""
+    path = getattr(args, option)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            args.inputs[option] = handle.read()
     except FileNotFoundError:
         raise CountingError("file-not-found", path)
+    return args.inputs[option]
 
 
-def _load_json(path: str) -> dict:
+def _load_json(args, option: str) -> dict:
+    path = getattr(args, option)
     try:
-        obj = json.loads(_read(path))
+        obj = json.loads(_read(args, option))
     except json.JSONDecodeError as exc:
         raise CountingError("malformed-json", f"{path}: {exc}")
     # Newer decoders read past the recursion limit; refuse such documents as older ones do.
@@ -63,10 +67,15 @@ def _digest(payload) -> str:
     ).hexdigest()[:16]
 
 
-def _report(value: int, gate_applied: bool, started: float, payload, key="count"):
-    elapsed_ms = int((time.monotonic() - started) * 1000)
+def _report(args, value: int, gate_applied: bool, key="count"):
+    """Print the report.  Its digest covers every option but ``--limit``, which
+    caps work and never changes a count, and the text of each input file in
+    place of its path (``args.inputs``)."""
+    elapsed_ms = int((time.monotonic() - args.started) * 1000)
+    run = {name: v for name, v in vars(args).items()
+           if name not in ("limit", "started", *args.inputs)}
     print(json.dumps({key: str(value), "gateApplied": bool(gate_applied),
-                      "elapsedMs": elapsed_ms, "instanceDigest": _digest(payload)}))
+                      "elapsedMs": elapsed_ms, "instanceDigest": _digest(run)}))
 
 
 def _endpoints(parts: dict, args) -> tuple[int, int]:
@@ -81,7 +90,7 @@ def _load_cnf(cnfm, parts: dict, args):
     if args.cnf and "clauses" in parts:
         raise CountingError("two-cnf-sources", "use --cnf or inline clauses, not both")
     if args.cnf:
-        return cnfm.parse_dimacs(_read(args.cnf))
+        return cnfm.parse_dimacs(_read(args, "cnf"))
     if "clauses" in parts:
         clauses = read_array(parts["clauses"], '"clauses"')
         return cnfm.EdgeCNF.from_dimacs_literals([read_array(c, "clause") for c in clauses])
@@ -190,102 +199,85 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _graph(mod, args, started):
+def _graph(mod, args):
     """The six graph subcommands; ``mod`` is ``cnf`` for the two CNF ones, else ``walks``."""
     from .graphs import graph_from_json  # here: pdet, mc and bp never read a graph
 
     extra = {"clauses"} if args.command.endswith("cnf") else set()
-    obj = _load_json(args.graph)
-    parts = graph_from_json(obj, extra_fields=extra)
+    parts = graph_from_json(_load_json(args, "graph"), extra_fields=extra)
     g = parts["graph"]
-    payload = {"command": args.command, "instance": obj, "k": args.k}
     if args.command == "reach":
         s, t = _endpoints(parts, args)
-        _report(mod.count_reach(g, s, t, args.k), False, started, payload)
+        _report(args, mod.count_reach(g, s, t, args.k), False)
     elif args.command == "logreach":
         s, t = _endpoints(parts, args)
         gate = not mod.log_gate_passes(args.a, args.k, g.n)
-        count = mod.count_log_reach_b(g, s, t, args.a, args.k, args.b)
-        _report(count, gate, started, {**payload, "a": args.a, "b": args.b})
+        _report(args, mod.count_log_reach_b(g, s, t, args.a, args.k, args.b), gate)
     elif args.command == "logwalk":
         gate = not mod.log_gate_passes(args.a, args.k, g.n)
-        count = mod.count_log_walk_b(g, args.a, args.k, args.b)
-        _report(count, gate, started, {**payload, "a": args.a, "b": args.b})
+        _report(args, mod.count_log_walk_b(g, args.a, args.k, args.b), gate)
     elif args.command == "reachcolour":
         if "colouring" not in parts:
             raise CountingError("colouring-incomplete", "instance has no colours")
         s, t = _endpoints(parts, args)
         vc = parts["colouring"]
-        count = mod.count_reach_colour(vc, s, t, args.k)
-        _report(count, vc.m != args.k, started, payload)
+        _report(args, mod.count_reach_colour(vc, s, t, args.k), vc.m != args.k)
     elif args.command == "reach2cnf":
         s, t = _endpoints(parts, args)
         phi = _load_cnf(mod, parts, args)
         gate = not mod.reach2cnf_gate_passes(g, phi, args.a, args.k)
-        count = mod.count_log_reach2_cnf(g, s, t, phi, args.a, args.k)
-        _report(count, gate, started,
-                {**payload, "a": args.a, "cnf": phi.to_dimacs_literals()})
+        _report(args, mod.count_log_reach2_cnf(g, s, t, phi, args.a, args.k), gate)
     else:  # cyclecover2cnf
         phi = _load_cnf(mod, parts, args)
         gate = not mod.cyclecover_gate_passes(g, phi, args.a)
-        count = mod.count_cycle_cover2_cnf(g, phi, args.a, args.k, args.limit)
-        _report(count, gate, started,
-                {**payload, "a": args.a, "cnf": phi.to_dimacs_literals()})
+        _report(args, mod.count_cycle_cover2_cnf(g, phi, args.a, args.k, args.limit), gate)
 
 
-def _mc(fom, args, started):
-    try:  # reading, formula_node_from_json and the re-encoding may raise RecursionError
-        phi = fom.formula_from_json(_load_json(args.formula))
-        formula_text = json.dumps(fom.formula_node_to_json(phi.root),
-                                  sort_keys=True, separators=(",", ":"))
+def _mc(fom, args):
+    try:  # reading and formula_node_from_json may raise RecursionError
+        phi = fom.formula_from_json(_load_json(args, "formula"))
     except RecursionError:
         raise CountingError("formula-too-deep", f"{args.formula} nests too deeply to read")
-    structure = fom.structure_from_json(_load_json(args.structure))
+    structure = fom.structure_from_json(_load_json(args, "structure"))
     if args.local:
         r = args.r if args.r is not None else fom.locality_radius(phi)
         count = fom.count_mc_local(phi, structure, args.k, r, fom.max_arity(phi))
     else:
         count = fom.count_mc(phi, structure, args.k, args.limit)
-    payload = {"formula": formula_text,
-               "structure": fom.structure_to_json(structure), "k": args.k}
-    _report(count, args.k != phi.size, started, payload)
+    _report(args, count, args.k != phi.size)
 
 
-def _hom(homm, args, started):
+def _hom(homm, args):
     from . import structures  # already loaded by homs
-    target = structures.structure_from_json(_load_json(args.target))
+    target = structures.structure_from_json(_load_json(args, "target"))
     if args.oracle and args.n <= args.k:
         count = homm.count_hom_oracle(homm.make_path_star(args.n).structure, target, args.limit)
     else:  # the layered route, which also answers the gate (n > k) after its pattern checks
         count = homm.count_hom_path_star(args.n, target, args.k)
-    payload = {"n": args.n, "k": args.k, "target": structures.structure_to_json(target)}
-    _report(count, args.n > args.k, started, payload)
+    _report(args, count, args.n > args.k)
 
 
-def _pdet(pdm, args, started):
-    matrix = pdm.matrix_from_json(_load_json(args.matrix))
+def _pdet(pdm, args):
+    matrix = pdm.matrix_from_json(_load_json(args, "matrix"))
     method = pdm.pdet_clow if args.method == "clow" else pdm.pdet_direct
-    value = method(matrix, args.k, args.limit)
-    payload = {"matrix": pdm.matrix_to_json(matrix), "k": args.k, "method": args.method}
-    _report(value, False, started, payload, key="value")
+    _report(args, method(matrix, args.k, args.limit), False, key="value")
 
 
-def _bp(bpm, args, started):
-    program = bpm.bp_from_json(_load_json(args.program))
+def _bp(bpm, args):
+    program = bpm.bp_from_json(_load_json(args, "program"))
     x = _parse_bits(args.x, program.num_x, "--x")
-    payload = {"program": bpm.bp_to_json(program), "x": args.x, "y": args.y}
     if args.y is not None:
         y = _parse_bits(args.y, program.num_y, "--y")
-        _report(int(bpm.bp_accepts(program, x, y)), False, started, payload)
+        _report(args, int(bpm.bp_accepts(program, x, y)), False)
     elif args.method == "fast":
-        _report(bpm.bp_count_fast(program, x), False, started, payload)
+        _report(args, bpm.bp_count_fast(program, x), False)
     else:
-        _report(bpm.bp_count_acc(program, x, args.limit), False, started, payload)
+        _report(args, bpm.bp_count_acc(program, x, args.limit), False)
 
 
-def _reduce(redm, args, started):
+def _reduce(redm, args):
     record = redm.standard_records()[args.name]
-    transformed = record.transform(record.read(_load_json(args.infile)))
+    transformed = record.transform(record.read(_load_json(args, "infile")))
     out, extra = record.write(transformed)
     sidecar = {"name": record.name, "kPrime": record.param_of(transformed), **extra}
     for path, doc in ((args.outfile, out), (args.outfile + ".record.json", sidecar)):
@@ -295,7 +287,7 @@ def _reduce(redm, args, started):
     print(json.dumps({**sidecar, "out": args.outfile}))
 
 
-def _selftest(stm, args, started) -> int:
+def _selftest(stm, args) -> int:
     ok = True
     for name, passed, failures in stm.run_selftest(args.seed, args.scale):
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
@@ -333,7 +325,8 @@ COMMANDS = {
 def _run(args) -> int:
     _, _, module, runner = COMMANDS[args.command]
     mod = importlib.import_module(f".{module}", __package__)
-    return runner(mod, args, time.monotonic()) or 0
+    args.inputs, args.started = {}, time.monotonic()  # `_read` fills the one, `_report` reads both
+    return runner(mod, args) or 0
 
 
 def main(argv=None) -> int:

@@ -51,12 +51,6 @@ class EdgeCNF(Record):
         """Clause count plus literal count (the gate's |phi| measure)."""
         return len(self.clauses) + sum(len(c) for c in self.clauses)
 
-    def to_dimacs_literals(self) -> list[list[int]]:
-        return [
-            [(edge + 1) if wanted else -(edge + 1) for edge, wanted in clause]
-            for clause in self.clauses
-        ]
-
 
 def validate_cnf_for_graph(cnf: EdgeCNF, g: DirectedGraph) -> None:
     for edge in cnf.variables():
@@ -65,6 +59,13 @@ def validate_cnf_for_graph(cnf: EdgeCNF, g: DirectedGraph) -> None:
                 "edge-variable-out-of-range",
                 f"CNF references edge id {edge}, graph has {len(g.edges)} edges",
             )
+
+
+def _dimacs_int(token: str) -> int:
+    """A DIMACS number: ASCII digits after an optional minus, never coerced."""
+    if not (token.isascii() and token.removeprefix("-").isdecimal()):
+        raise CountingError("malformed-dimacs", f"{token!r} is not an integer")
+    return int(token)
 
 
 def parse_dimacs(text: str) -> EdgeCNF:
@@ -80,10 +81,11 @@ def parse_dimacs(text: str) -> EdgeCNF:
             header = line.split()
             if len(header) != 4 or header[1] != "cnf":
                 raise CountingError("malformed-dimacs", f"bad header: {line}")
-            declared = int(header[3])
+            _dimacs_int(header[2])  # the variable count: checked, not used
+            declared = _dimacs_int(header[3])
             continue
         for token in line.split():
-            lit = int(token)
+            lit = _dimacs_int(token)
             if lit == 0:
                 clauses.append(current)
                 current = []

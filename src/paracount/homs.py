@@ -100,10 +100,6 @@ def count_hom_oracle(
     return len(enumerate_homs(a, b, limit))
 
 
-def _colour_classes(b: RelationalStructure, n: int) -> list[frozenset[int]]:
-    return [b.interpretation[f"C_{i}"] for i in range(1, n + 1)]
-
-
 def _check_pattern(n: int, b: RelationalStructure) -> None:
     """P_n* needs n >= 2, and b must be over its vocabulary (E, C_1..C_n)."""
     if n < 2:
@@ -115,10 +111,11 @@ def _check_pattern(n: int, b: RelationalStructure) -> None:
         )
 
 
-def validate_path_star_target(b: RelationalStructure, n: int) -> None:
-    """Refuse targets on which the layered-graph construction miscounts."""
+def validate_path_star_target(b: RelationalStructure, n: int) -> list[set[int]]:
+    """Refuse targets on which the layered-graph construction miscounts;
+    return the colour classes C_1..C_n as element sets."""
     _check_pattern(n, b)
-    classes = [{t[0] for t in cls} for cls in _colour_classes(b, n)]
+    classes = [{t[0] for t in b.interpretation[f"C_{i}"]} for i in range(1, n + 1)]
     seen: set[int] = set()
     for i, cls in enumerate(classes, start=1):
         if cls & seen:
@@ -133,6 +130,7 @@ def validate_path_star_target(b: RelationalStructure, n: int) -> None:
             raise CountingError(
                 "asymmetric-edge-relation", f"edge ({u}, {v}) lacks its reverse"
             )
+    return classes
 
 
 def build_layered_reach_graph(
@@ -144,10 +142,9 @@ def build_layered_reach_graph(
     s -> C_1 elements, E^b edges from C_i- to C_{i+1}-coloured elements, and
     C_n elements -> t.
     """
-    validate_path_star_target(b, n)
+    classes = validate_path_star_target(b, n)
     nb = b.universe_size
     s, t = nb, nb + 1
-    classes = [{tup[0] for tup in cls} for cls in _colour_classes(b, n)]
     edge_set: set[tuple[int, int]] = set()
     for x in classes[0]:
         edge_set.add((s, x))
@@ -165,8 +162,8 @@ def count_hom_path_star(n: int, b: RelationalStructure, k: int) -> int:
 
     Computed by counting s-t walks of n+2 vertices in the layered graph.
     """
-    _check_pattern(n, b)
-    if n > k:
+    if n > k:  # gated, but only once the pattern is checked
+        _check_pattern(n, b)
         return 0
     graph, s, t = build_layered_reach_graph(b, n)
     return count_reach(graph, s, t, n + 2)

@@ -16,7 +16,6 @@ at 2 so the gate is well defined on tiny graphs.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
 from .errors import CountingError
@@ -28,7 +27,7 @@ from .errors import CountingError
 
 def ceil_log2(x: int) -> int:
     """ceil(log2(max(x, 2)))."""
-    return max(math.ceil(math.log2(max(x, 2))), 1)
+    return max((max(x, 2) - 1).bit_length(), 1)
 
 
 def log_gate_passes(a: int, k: int, size_term: int) -> bool:

@@ -592,6 +592,11 @@ STRUCTURE = {"vocabulary": {"relations": [["E", 2]]}, "universeSize": 2,
      ("pdet", "--matrix", "@in", "--k", "2")),
     ("vertex-count-negative", json.dumps({"n": -1, "edges": []}),
      ("reach", "--graph", "@in", "--s", "0", "--t", "0", "--k", "1")),
+    # DIMACS numbers are ASCII digits after an optional minus, never coerced.
+    *(("malformed-dimacs", text,
+       ("reach2cnf", "--graph", "@graph", "--cnf", "@in", "--a", "2", "--k", "1"))
+      for text in ("p cnf 2 x\n1 0\n", "p cnf x 1\n1 0\n", "p cnf 4 1\ntwo 0\n",
+                   "p cnf 4 1\n1.5 0\n", "p cnf 4 1\n1_0 0\n")),
 ])
 def test_refusal_codes(tmp_path, capsys, code, text, argv):
     (tmp_path / "in.txt").write_text(text)
@@ -815,12 +820,39 @@ DIGEST_PAYLOADS = [{}, [], {"command": "reach", "instance": DIAMOND, "k": 3},
 def test_digest_is_the_first_16_hex_digits_of_sha256(monkeypatch):
     want = [hashlib.sha256(json.dumps(p, sort_keys=True, separators=(",", ":")).encode())
             .hexdigest()[:16] for p in DIGEST_PAYLOADS]
-    assert want[2] == "0352c9b3f9025264"  # the diamond's `reach` report
+    assert want[2] == "0352c9b3f9025264"  # pinned: a change to the encoding shows
     assert [_digest(p) for p in DIGEST_PAYLOADS] == want
     # Without the interpreter's builtin sha256 the digest comes from hashlib.
     monkeypatch.setitem(sys.modules, "_sha2", None)
     monkeypatch.setitem(sys.modules, "_sha256", None)
     assert [_digest(p) for p in DIGEST_PAYLOADS] == want
+
+
+def test_digest_covers_every_option_but_the_limit_and_each_input_file(tmp_path, capsys):
+    def digest(*argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        return json.loads(out)["instanceDigest"]
+
+    for command, argv in list(every_subcommand(tmp_path).items())[:10]:  # the counting ones
+        first = digest(*argv)
+        assert digest(*argv) == first and digest("--limit", "100", *argv) == first, command
+        if command in ("reach", "logreach", "reachcolour", "reach2cnf"):
+            changed = [*argv, "--s", "0"]  # the file's own s, now given as an option
+        elif "--k" in argv:
+            i = argv.index("--k") + 1
+            changed = [*argv[:i], "2" if argv[i] == "1" else "1", *argv[i + 1:]]
+        else:  # bp has no --k
+            changed = [*argv[:-1], "acc"]
+        assert digest(*changed) != first, command
+        path = Path(next(arg for arg in argv if os.path.isfile(arg)))
+        text = path.read_text()
+        path.write_text(text + "\n")
+        assert digest(*argv) != first, command
+        path.write_text(text)
+    graph = write(tmp_path, "diamond.json", DIAMOND)
+    assert (digest("reach", "--graph", graph, "--s", "0", "--t", "3", "--k", "2")
+            != digest("reach", "--graph", graph, "--s", "1", "--t", "3", "--k", "2"))
 
 
 @pytest.mark.skipif(not (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")),

@@ -44,6 +44,9 @@ def rand_graph(rng, max_n=6, max_out=None):
 def test_gate_convention():
     assert ceil_log2(4) == 2
     assert ceil_log2(1) == 1  # size term floored at 2
+    assert ceil_log2(2**53 + 1) == 54  # exact past a float's 53-bit mantissa
+    assert ceil_log2(2**60 + 1) == 61
+    assert log_gate_passes(54, 1, 2**53 + 1)
     assert log_gate_passes(2, 1, 4)
     assert not log_gate_passes(3, 1, 4)
 
