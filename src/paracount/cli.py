@@ -10,6 +10,7 @@ the module its subcommand runs (see `COMMANDS`).
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -345,5 +346,11 @@ def main(argv=None) -> int:
     return 1
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry (``python -m paracount.cli`` and the ``paracount`` script)."""
+    gc.freeze()  # the start-up heap lives until exit: no collection, shutdown's too, need walk it
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -70,8 +70,8 @@ def _dimacs_int(token: str) -> int:
 
 def parse_dimacs(text: str) -> EdgeCNF:
     """Parse DIMACS cnf text (comments and the p-line are tolerated)."""
-    clauses: list[list[int]] = []
-    current: list[int] = []
+    clauses: list[tuple[Literal, ...]] = []
+    current: list[Literal] = []
     declared = None
     for line in text.splitlines():
         line = line.strip()
@@ -87,18 +87,18 @@ def parse_dimacs(text: str) -> EdgeCNF:
         for token in line.split():
             lit = _dimacs_int(token)
             if lit == 0:
-                clauses.append(current)
+                clauses.append(tuple(current))
                 current = []
             else:
-                current.append(lit)
+                current.append((abs(lit) - 1, lit > 0))
     if current:
-        clauses.append(current)
+        clauses.append(tuple(current))
     if declared is not None and declared != len(clauses):
         raise CountingError(
             "malformed-dimacs",
             f"header declares {declared} clauses, found {len(clauses)}",
         )
-    return EdgeCNF.from_dimacs_literals(clauses)
+    return EdgeCNF(tuple(clauses))
 
 
 def eval_cnf(cnf: EdgeCNF, assignment: Mapping[int, int]) -> bool:

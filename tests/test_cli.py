@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import paracount
-from paracount import reductions
+from paracount import cli, reductions
 from paracount.cli import COMMANDS, REDUCTIONS, _digest, main
 
 DIAMOND = {"n": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]], "s": 0, "t": 3}
@@ -32,15 +32,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_process(*argv):
+    """A new interpreter run with ``argv`` that imports this paracount."""
+    env = {**os.environ, "PYTHONPATH": str(Path(paracount.__file__).resolve().parent.parent)}
+    env.pop("PARACOUNT_LIMIT", None)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=60,
+                          env=env)
+
+
 def fresh_python(script, *flags):
     """Stdout of ``script`` run by a new interpreter, started with ``flags``
     (``-S``, say), that imports this paracount."""
-    env = {**os.environ, "PYTHONPATH": str(Path(paracount.__file__).resolve().parent.parent)}
-    env.pop("PARACOUNT_LIMIT", None)
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", script], capture_output=True, text=True, timeout=60,
-        env=env,
-    )
+    proc = fresh_process(*flags, "-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -706,6 +709,65 @@ def test_bad_limit_is_usage_error(tmp_path, capsys, monkeypatch, flag, env):
     value = env if env is not None else flag[1]
     assert f"argument --limit: {value!r} is not a non-negative integer" in err
     assert "Traceback" not in err
+
+
+def test_run_freezes_the_heap_before_main_and_exits_with_its_code(tmp_path, capsys,
+                                                                   monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli.sys, "exit", lambda code: calls.append(("exit", code)))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    cli.run()
+    assert calls == ["freeze", "main", ("exit", 3)]
+
+    monkeypatch.undo()  # the real main, with freeze still spied on: it never freezes
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    calls.clear()
+    graph = write(tmp_path, "diamond.json", DIAMOND)
+    assert run(capsys, "reach", "--graph", graph, "--k", "3")[0] == 0
+    assert run(capsys, "reach", "--graph", graph, "--s", "9", "--k", "3")[0] == 1
+    assert usage(capsys, "reach", "--graph", graph)[0] == 2
+    assert calls == []
+
+
+def test_main_module_and_console_script_run_the_process_entry():
+    # What `python -m paracount.cli` runs: the heap is frozen by the time atexit runs.
+    *_, frozen = fresh_python(
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        "sys.argv = ['paracount', '--help']\n"
+        "runpy.run_module('paracount.cli', run_name='__main__', alter_sys=True)\n"
+    ).splitlines()
+    assert int(frozen) > 0
+    tomllib = pytest.importorskip("tomllib")  # 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["paracount"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
+def test_a_fresh_process_prints_what_main_prints(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PARACOUNT_LIMIT", raising=False)  # as `fresh_process` drops it
+    graph = write(tmp_path, "diamond.json", DIAMOND)
+    cases = [("reach", "--graph", graph, "--k", "3"),
+             ("reach", "--graph", graph, "--s", "9", "--k", "3"),  # a domain refusal
+             ("reach", "--graph", graph)]  # a usage error: --k missing
+
+    def masked(text):
+        return re.sub(r'"elapsedMs": \d+', '"elapsedMs": 0', text)
+
+    codes = []
+    for argv in cases:
+        proc = fresh_process("-m", "paracount.cli", *argv)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stderr, masked(proc.stdout)) == (
+            code, captured.err, masked(captured.out)), argv
+        codes.append(code)
+    assert codes == [0, 1, 2]
 
 
 def test_reduce_names_are_the_standard_reductions():

@@ -75,6 +75,21 @@ def test_dimacs_parse():
     assert phi.size() == 2 + 4
 
 
+def test_dimacs_parse_reads_each_literal_once(monkeypatch):
+    rng = random.Random(23)
+    clauses = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 4))]
+               for _ in range(30)]
+    text = f"p cnf 9 {len(clauses)}\n" + "".join(
+        " ".join(map(str, clause)) + " 0\n" for clause in clauses)
+    want = EdgeCNF.from_dimacs_literals(clauses)
+
+    def reread(value, what):
+        raise AssertionError(f"{what} {value!r} read again")
+
+    monkeypatch.setattr("paracount.cnf.read_int", reread)
+    assert parse_dimacs(text) == want
+
+
 def test_reach2cnf_empty_cnf_equals_unconstrained():
     rng = random.Random(21)
     for _ in range(25):
