@@ -1,0 +1,27 @@
+"""`mc`: satisfying assignments of a quantifier-free formula (counting module `fo`)."""
+from __future__ import annotations
+
+from ..errors import CountingError
+from . import _load_json, _report
+
+
+def add_arguments(mc, command):
+    mc.add_argument("--formula", required=True)
+    mc.add_argument("--structure", required=True)
+    mc.add_argument("--k", type=int, required=True)
+    mc.add_argument("--local", action="store_true", help="use the locality sweep")
+    mc.add_argument("--r", type=int, help="locality bound (default: computed)")
+
+
+def run(fom, args):
+    try:  # reading and formula_node_from_json may raise RecursionError
+        phi = fom.formula_from_json(_load_json(args, "formula"))
+    except RecursionError:
+        raise CountingError("formula-too-deep", f"{args.formula} nests too deeply to read")
+    structure = fom.structure_from_json(_load_json(args, "structure"))
+    if args.local:
+        r = args.r if args.r is not None else fom.locality_radius(phi)
+        count = fom.count_mc_local(phi, structure, args.k, r, fom.max_arity(phi))
+    else:
+        count = fom.count_mc(phi, structure, args.k, args.limit)
+    _report(args, count, args.k != phi.size)

@@ -1,4 +1,4 @@
-"""Canonical digraph representation and the walk-count oracles.
+"""Canonical digraph representation and its file format.
 
 Vertices are dense 0-based integers.  Edges are an ordered list of
 ``(source, target)`` pairs; the position of a pair in that list is the
@@ -7,9 +7,8 @@ are plain Python ints, so they are exact at any magnitude.
 """
 from __future__ import annotations
 
-from .errors import (DEFAULT_LIMIT, CountingError, Record, check_limit, read_array, read_fields,
-                     read_int)
-from .walks import check_vertex, max_out_degree  # max_out_degree: kept importable from here
+from .errors import CountingError, Record, read_array, read_fields, read_int
+from .walks import max_out_degree  # kept importable from here
 
 
 class DirectedGraph(Record):
@@ -86,38 +85,6 @@ class VertexColouring(Record):
         return self.colours[v]
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += aik * bk[j]
-    return out
-
-
-def walk_count_matrix(g: DirectedGraph, a: int) -> list[list[int]]:
-    """Entry (u, v) counts walks from u to v with exactly ``a`` edges.
-
-    a = 0 yields the identity table.  Exact for any magnitude.  This dense
-    matrix power, O(a·n³), is the independent oracle that tests and the
-    benchmark references check the walk counters against; no counter calls it.
-    """
-    if a < 0:
-        raise CountingError("negative-length", f"a = {a}")
-    n = g.n
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    adj = g.adjacency_matrix()
-    for _ in range(a):
-        result = _mat_mul(result, adj)
-    return result
-
-
 def cycles_of(succ: dict[int, int]) -> list[list[int]]:
     """Decompose a permutation, given as a successor map, into its cycles.
 
@@ -136,36 +103,6 @@ def cycles_of(succ: dict[int, int]) -> list[list[int]]:
             v = succ[v]
         cycles.append(cyc)
     return cycles
-
-
-def enumerate_walks(
-    g: DirectedGraph, s: int, t: int, a: int, limit: int = DEFAULT_LIMIT
-) -> list[tuple[int, ...]]:
-    """All s-to-t walks with exactly ``a`` edges, lexicographic by vertex sequence.
-
-    Raises LimitExceeded when more than ``limit`` walks exist; this is the
-    independent brute-force oracle behind every walk counter.
-    """
-    if a < 0:
-        raise CountingError("negative-length", f"a = {a}")
-    check_vertex(g, s, "s")
-    check_vertex(g, t, "t")
-    succ = g.successors()
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int) -> None:
-        if remaining == 0:
-            if prefix[-1] == t:
-                check_limit(len(out) + 1, limit, f"walks of length {a} from {s} to {t}")
-                out.append(tuple(prefix))
-            return
-        for v in succ[prefix[-1]]:
-            prefix.append(v)
-            rec(prefix, remaining - 1)
-            prefix.pop()
-
-    rec([s], a)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +136,16 @@ def graph_to_json(g: DirectedGraph, **extra) -> dict:
     obj: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
     obj.update({k: v for k, v in extra.items() if v is not None})
     return obj
+
+
+#: The walk oracles, defined in `oracles`, still resolve here (PEP 562), loading
+#: that module on first use, so no counting process compiles them; the
+#: benchmark's spans and references and the package exports look them up here.
+_ORACLES = frozenset({"enumerate_walks", "walk_count_matrix"})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracles
+    return getattr(oracles, name)

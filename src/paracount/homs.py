@@ -178,7 +178,7 @@ def hom_walk_correspondence(
     stripped walk (v_1, ..., v_n) corresponds to the map i-1 -> v_i.  Both
     lists are sorted; the correspondence holds iff they are equal.
     """
-    from .graphs import enumerate_walks
+    from .oracles import enumerate_walks
 
     graph, s, t = build_layered_reach_graph(b, n)
     walks = enumerate_walks(graph, s, t, n + 1, limit)

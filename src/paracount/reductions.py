@@ -13,12 +13,14 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from .errors import CountingError, Record, read_fields, read_int
-from .fo import Atom, ConstRef, Connective, Eq, QFFormula, Var, formula_node_to_json
 from .graphs import DirectedGraph, VertexColouring, graph_from_json, graph_to_json
-from .homs import PathStarStructure, build_layered_reach_graph, make_path_star, path_star_vocabulary
-from .pdet import ZeroOneMatrix, matrix_to_json
 from .structures import RelationalStructure, Vocabulary, structure_from_json, structure_to_json
 from .walks import check_vertex
+
+# `fo`, `homs` and `pdet` are imported by the transforms and writers that use
+# them, so that `reduce` compiles only its record's modules.  `QFFormula`,
+# `PathStarStructure` and `ZeroOneMatrix` appear only in annotations, which
+# are never evaluated.
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +36,8 @@ def reduce_hom_to_reach(
     Returns (graph, s, t, k') with k' = n + 2; the homomorphism count from
     P_n* to b equals the number of s-t walks with k' vertices.
     """
+    from .homs import build_layered_reach_graph
+
     graph, s, t = build_layered_reach_graph(b, n)
     return graph, s, t, n + 2
 
@@ -51,6 +55,8 @@ def reduce_reach_colour_to_hom(
     it against the original direction.  Edges with any other colour delta
     are unusable by colour-respecting walks and homomorphisms alike.
     """
+    from .homs import make_path_star, path_star_vocabulary
+
     g = vc.graph
     check_vertex(g, s, "s")
     check_vertex(g, t, "t")
@@ -92,6 +98,8 @@ def reduce_reach_colour_to_hom(
 def reach_formula(k: int) -> QFFormula:
     """(x_1 = s) and E(x_1, x_2) and ... and E(x_{k-1}, x_k) and (x_k = t),
     a flat conjunction with locality radius 1 and arity 2."""
+    from .fo import Atom, ConstRef, Connective, Eq, QFFormula, Var
+
     atoms: list = [Eq(Var("x1"), ConstRef("s"))]
     for i in range(1, k):
         atoms.append(Atom("E", (Var(f"x{i}"), Var(f"x{i + 1}"))))
@@ -129,6 +137,8 @@ def reduce_reach_to_pdet(
     vertices, so pdet(A', k) = (-1)^(2n-k+1) * count.  Returns
     (matrix, k, recovery_sign).
     """
+    from .pdet import ZeroOneMatrix
+
     check_vertex(g, s, "s")
     check_vertex(g, t, "t")
     if s == t:
@@ -249,6 +259,19 @@ def _read_walks(part: str) -> Callable[[object], tuple]:
     return read
 
 
+def _write_mc(out) -> tuple[dict, dict]:
+    from .fo import formula_node_to_json
+
+    return {"formula": formula_node_to_json(out[0].root),
+            "structure": structure_to_json(out[1])}, {}
+
+
+def _write_pdet(out) -> tuple[dict, dict]:
+    from .pdet import matrix_to_json
+
+    return matrix_to_json(out[0]), {"recoverySign": out[2]}
+
+
 def standard_records() -> dict[str, ReductionRecord]:
     """The four reductions, each with its bound on k'."""
     return {
@@ -271,15 +294,14 @@ def standard_records() -> dict[str, ReductionRecord]:
             lambda inst: reduce_reach_to_mc(*inst),
             lambda inst, kp: kp <= 2 * inst[3],
             _read_walks("graph"),
-            lambda out: ({"formula": formula_node_to_json(out[0].root),
-                          "structure": structure_to_json(out[1])}, {}),
+            _write_mc,
         ),
         "reach-to-pdet": ReductionRecord(  # k' = k
             "reach-to-pdet",
             lambda inst: reduce_reach_to_pdet(*inst),
             lambda inst, kp: kp == inst[3],
             _read_walks("graph"),
-            lambda out: (matrix_to_json(out[0]), {"recoverySign": out[2]}),
+            _write_pdet,
             param_of=lambda transformed: transformed[1],
         ),
     }

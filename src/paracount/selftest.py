@@ -20,11 +20,13 @@ from . import bp as bpm
 from . import cnf as cnfm
 from . import fo as fom
 from . import homs as homm
+from . import oracles as orm
 from . import pdet as pdm
 from . import reductions as redm
 from . import walks as wkm
 from .errors import Record
-from .graphs import DirectedGraph, VertexColouring, enumerate_walks
+from .graphs import DirectedGraph, VertexColouring
+from .oracles import enumerate_walks
 from .structures import RelationalStructure, Vocabulary
 
 
@@ -366,28 +368,28 @@ def check_involution(rng: random.Random, scale: Scale) -> list[str]:
     matrices += [rand_matrix(rng, 4) for _ in range(scale.involution_random_matrices)]
     for a in matrices:
         for k in range(0, 5):
-            sequences = pdm.enumerate_k_clow_sequences(a, k)
+            sequences = orm.enumerate_k_clow_sequences(a, k)
             fixed_sign_sum = 0
             nonfixed_sign_sum = 0
             for w in sequences:
-                image = pdm.eta(w)
-                if pdm.eta(image) != w:
+                image = orm.eta(w)
+                if orm.eta(image) != w:
                     failures.append(f"eta not an involution on {w}")
                     continue
                 if w.is_disjoint_cycle_cover():
                     if image != w:
                         failures.append(f"cycle cover {w} not fixed by eta")
-                    fixed_sign_sum += pdm.clow_sign(w)
+                    fixed_sign_sum += orm.clow_sign(w)
                 else:
                     if image == w:
                         failures.append(f"non-cover {w} fixed by eta")
-                    if pdm.clow_sign(image) != -pdm.clow_sign(w):
+                    if orm.clow_sign(image) != -orm.clow_sign(w):
                         failures.append(f"eta does not flip sign on {w}")
                     if image.total_edges != w.total_edges:
                         failures.append(f"eta changes edge count on {w}")
                     if image.edge_multiset() != w.edge_multiset():
                         failures.append(f"eta changes traversed edges on {w}")
-                    nonfixed_sign_sum += pdm.clow_sign(w)
+                    nonfixed_sign_sum += orm.clow_sign(w)
             if nonfixed_sign_sum != 0:
                 failures.append(
                     f"pairing argument broken: non-fixed signs sum to "
@@ -408,8 +410,8 @@ def check_det_cross(rng: random.Random, scale: Scale) -> list[str]:
         for i in range(a.n):
             rows[i][i] = 1
         a = pdm.ZeroOneMatrix.from_rows(rows)
-        total = pdm.det_cross_check(a)
-        oracle = pdm.determinant_cofactor([list(r) for r in a.rows])
+        total = orm.det_cross_check(a)
+        oracle = orm.determinant_cofactor([list(r) for r in a.rows])
         if total != oracle:
             failures.append(
                 f"trial {trial}: sum_k pdet = {total} but det = {oracle} ({a.rows})"

@@ -37,9 +37,12 @@ def log_gate_passes(a: int, k: int, size_term: int) -> bool:
 
 def propagate(start: dict, steps: int, step: Callable) -> dict:
     """Map each state to the number of ``steps``-move paths from the ``start``
-    counts that end in it; ``step(state)`` yields or lists the next states."""
+    counts that end in it; ``step(state)`` yields or lists the next states.
+    An empty frontier stays empty, so the loop stops at the first one."""
     counts = start
     for _ in range(steps):
+        if not counts:
+            return {}
         nxt: dict = {}
         for u, c in counts.items():
             for v in step(u):

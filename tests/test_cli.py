@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import paracount
 from paracount import cli, reductions
-from paracount.cli import COMMANDS, REDUCTIONS, _digest, main
+from paracount.cli import COMMANDS, main
+from paracount.commands import _digest
+from paracount.commands.reduce import REDUCTIONS
 
 DIAMOND = {"n": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]], "s": 0, "t": 3}
 
@@ -160,6 +162,15 @@ def test_logwalk(tmp_path, capsys):
     graph = write(tmp_path, "p.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
     code, out, _ = run(capsys, "logwalk", "--graph", graph, "--a", "1", "--k", "2")
     assert code == 0 and json.loads(out)["count"] == "2"
+
+
+def test_walks_longer_than_the_graph_allows_count_zero_at_once(tmp_path, capsys):
+    graph = write(tmp_path, "diamond.json", DIAMOND)
+    for argv in (("reach", "--graph", graph, "--k", str(10**9)),
+                 ("logwalk", "--graph", graph, "--a", str(10**9), "--k", str(10**9))):
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert (code, report["count"], report["gateApplied"]) == (0, "0", False), argv
 
 
 def test_reachcolour(tmp_path, capsys):
@@ -829,8 +840,10 @@ def test_counting_processes_do_not_load_typing(tmp_path):
     assert len(reports) == len(runs) and json.loads(result) == [[0] * len(runs), []]
 
 
-def every_subcommand(tmp_path):
-    """A counting run of each subcommand: command line by name, in `COMMANDS` order."""
+def every_subcommand(tmp_path, *, each_reduction=False):
+    """A counting run of each subcommand: command line by name, in `COMMANDS`
+    order.  ``each_reduction`` puts one run per reduction, named ``reduce
+    <name>``, in place of the one ``reduce`` run."""
     target = FUZZ_DOCUMENTS["reduce-hom"][0]["target"]
     files = {"@graph": write(tmp_path, "g.json", DIAMOND),
              "@colours": write(tmp_path, "gc.json", {**DIAMOND, "colours": [1, 2, 2, 3]}),
@@ -842,6 +855,7 @@ def every_subcommand(tmp_path):
              "@program": write(tmp_path, "bp.json", PROGRAM),
              "@target": write(tmp_path, "B.json", target),
              "@reduce": write(tmp_path, "in.json", FUZZ_DOCUMENTS["reduce-hom"][0]),
+             "@walks": write(tmp_path, "walks.json", FUZZ_DOCUMENTS["reduce-walks"][0]),
              "@out": str(tmp_path / "out.json")}
     runs = [
         ("reach", "--graph", "@graph", "--k", "3"),
@@ -858,16 +872,34 @@ def every_subcommand(tmp_path):
         ("selftest", "--seed", "1"),
     ]
     assert [argv[0] for argv in runs] == list(COMMANDS)
-    return {argv[0]: [files.get(arg, arg) for arg in argv] for argv in runs}
+    named = {argv[0]: argv for argv in runs}
+    if each_reduction:
+        i = list(named).index("reduce")
+        reductions = [(f"reduce {name}", ("reduce", "--name", name, "--in",
+                                          "@reduce" if name == "hom-to-reach" else "@walks",
+                                          "--out", "@out")) for name in REDUCTIONS]
+        named = dict([*list(named.items())[:i], *reductions, *list(named.items())[i + 1:]])
+    return {name: [files.get(arg, arg) for arg in argv] for name, argv in named.items()}
 
 
-def loaded_by(argvs, *flags):
+def loaded_by(argvs, *flags, as_main=False):
     """Exit codes of ``main`` on each command line, run in turn by one new
-    interpreter, and the modules that interpreter then holds."""
+    interpreter, and the modules that interpreter then holds.  ``as_main``
+    runs each command line as ``python -m paracount.cli`` runs it: `cli`
+    executes as ``__main__`` and its process entry, ``run``, ends in
+    ``sys.exit``."""
+    if as_main:
+        header = "import json, runpy, sys\n"
+        call = ("    sys.argv = ['paracount', *argv]\n"
+                "    try:\n"
+                "        runpy.run_module('paracount.cli', run_name='__main__', alter_sys=True)\n"
+                "    except SystemExit as exc:\n"
+                "        codes.append(exc.code)\n")
+    else:
+        header = "import json, sys\nfrom paracount.cli import main\n"
+        call = "    codes.append(main(argv))\n"
     *_, result = fresh_python(
-        "import json, sys\n"
-        "from paracount.cli import main\n"
-        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        f"{header}codes = []\nfor argv in {argvs!r}:\n{call}"
         "print(json.dumps([codes, sorted(sys.modules)]))\n",
         *flags,
     ).splitlines()
@@ -947,6 +979,36 @@ def test_hom_process_does_not_load_fo(tmp_path, command, used, unused):
     assert codes == [0]
     assert {f"paracount.{name}" for name in used} <= loaded
     assert not {f"paracount.{name}" for name in unused} & loaded
+
+
+
+#: Reduction -> the counting modules that its record never uses.
+REDUCE_UNUSED = {"hom-to-reach": {"fo", "pdet"}, "reach-to-mc": {"homs", "pdet"},
+                 "reach-to-pdet": {"fo", "homs"}, "reachcolour-to-hom": {"fo", "pdet"}}
+
+
+@pytest.mark.parametrize("name", [*(c for c in COMMANDS if c != "reduce"),
+                                  *(f"reduce {n}" for n in REDUCTIONS)])
+def test_a_process_compiles_only_its_own_command_module(tmp_path, name):
+    argv = every_subcommand(tmp_path, each_reduction=True)[name]
+    codes, loaded = loaded_by([argv], as_main=True)
+    assert codes == [0]
+    commands = {m for m in loaded if m.startswith("paracount.commands.")}
+    assert commands == {f"paracount.commands.{COMMANDS[argv[0]][1]}"}
+    assert "paracount.cli" not in loaded  # the CLI runs as `__main__`, compiled once
+    if argv[0] != "selftest":
+        assert "paracount.oracles" not in loaded
+    if argv[0] == "reduce":
+        assert not {f"paracount.{m}" for m in REDUCE_UNUSED[argv[2]]} & loaded
+
+
+def test_help_and_usage_errors_load_no_command_module():
+    codes, loaded = loaded_by([["--help"], ["nosuch"], []], as_main=True)
+    assert codes == [0, 2, 2]
+    assert not {m for m in loaded if m.startswith("paracount.commands")}
+    codes, loaded = loaded_by([["reach"]], as_main=True)  # --graph missing
+    assert codes == [2] and "paracount.commands.graph" in loaded
+    assert not {"paracount.walks", "paracount.graphs"} & loaded
 
 
 #: One valid document per input format, with the command line that reads it.

@@ -45,3 +45,18 @@ def test_from_imports_and_unknown_names():
     assert pdet.pdet_clow is paracount.pdet_clow
     with pytest.raises(AttributeError):
         paracount.no_such_name
+
+
+def test_names_moved_to_oracles_resolve_where_they_were_defined():
+    from paracount import graphs, oracles, pdet
+    from paracount.graphs import enumerate_walks
+
+    assert pdet.eta is oracles.eta
+    assert getattr(paracount.pdet, "eta") is oracles.eta  # a tracer's lookup by name
+    assert graphs.walk_count_matrix is oracles.walk_count_matrix
+    assert enumerate_walks is oracles.enumerate_walks
+    assert paracount.eta is oracles.eta
+    for module, other in ((pdet, "walk_count_matrix"), (graphs, "eta")):
+        for name in ("no_such_name", other):  # each hook resolves only its own names
+            with pytest.raises(AttributeError):
+                getattr(module, name)

@@ -17,6 +17,7 @@ from paracount.walks import (
     count_reach,
     count_reach_colour,
     log_gate_passes,
+    propagate,
 )
 
 DIAMOND = validate_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -91,6 +92,21 @@ def test_walks_equal_paths_on_dags():
         walks = enumerate_walks(g, s, t, k - 1)
         assert all(len(set(w)) == len(w) for w in walks)  # every walk is a path
         assert count_reach(g, s, t, k) == len(walks)
+
+
+def test_propagate_stops_once_the_frontier_is_empty():
+    calls = []
+
+    def step(state):
+        calls.append(state)
+        return []
+
+    assert propagate({0: 1}, 10**9, step) == {} and calls == [0]
+    assert propagate({}, 10**9, step) == {} and calls == [0]
+    # The walk DPs end at once too: the diamond has no walk longer than two edges.
+    assert count_reach(DIAMOND, 0, 3, 10**9) == 0
+    assert count_log_reach_b(DIAMOND, 0, 3, 10**9, 10**9, 2) == 0
+    assert count_log_walk_b(DIAMOND, 10**9, 10**9, 2) == 0
 
 
 def test_count_log_reach_b_examples():
