@@ -1,14 +1,11 @@
-"""One module per subcommand family of the CLI, each with two functions:
-``add_arguments(parser, command)`` adds a subcommand's options and
-``run(module, args)`` runs it, calling counters through ``module``, the
-counting module that `paracount.cli.COMMANDS` names for it.  The CLI
-imports a family's module only once argparse selects one of its
-subcommands, so a process compiles one runner.  No module here imports
-`paracount.cli`: under ``python -m paracount.cli`` that module is
+"""The CLI's runners, one module per subcommand family, each with
+``add_arguments(parser, command)`` and ``run(module, args)``; ``module`` is
+the counting module that `paracount.cli.COMMANDS` names.  The CLI imports a
+family's module only once argparse selects one of its subcommands.  None
+imports `paracount.cli`: under ``python -m paracount.cli`` that module is
 ``__main__``, and importing it would compile it a second time.
 
-This module holds what every runner shares: reading input files and
-printing the report.
+This module holds what every runner shares: input files and the report.
 """
 from __future__ import annotations
 

@@ -1,19 +1,10 @@
-"""The brute-force oracles that the fast routes are checked against, and the
-clow-sequence machinery of the paper's determinant argument.
+"""The brute-force oracles that the fast routes are checked against: the
+walk enumerator and matrix power, the k-clow-sequence enumerator with the
+sign-reversing involution ``eta``, and the cofactor determinant.
 
-None of this runs in a counting process: the self-test battery, the tests
-and the benchmark references call it.  Kept out of ``pdet`` and ``graphs``,
-it is compiled only where it is used; both modules still resolve the names
-they used to define (``pdet.eta``, ``graphs.walk_count_matrix``, ...) by
-loading this module on first use.
-
-* ``walk_count_matrix`` (a dense matrix power) and ``enumerate_walks`` are
-  the oracles behind every walk counter;
-* ``enumerate_k_clow_sequences`` lists the k-clow sequences that
-  ``pdet.clow_parity_counts`` counts, and ``eta`` is the sign-reversing
-  involution that pairs up those that are not disjoint cycle covers;
-* ``det_cross_check`` and ``determinant_cofactor`` check ``pdet_direct``
-  against the ordinary determinant.
+Only the self-test battery, the tests and the benchmark references call
+them, so no counting process compiles this module; ``pdet`` and ``graphs``
+still resolve the names they used to define, loading it on first use.
 """
 from __future__ import annotations
 
@@ -21,8 +12,7 @@ from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit
 from .pdet import pdet_direct
 from .walks import check_vertex
 
-# `DirectedGraph` and `ZeroOneMatrix` appear only in annotations, which are
-# never evaluated.
+# `DirectedGraph` and `ZeroOneMatrix` appear only in annotations, never evaluated.
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,8 @@ from .graphs import DirectedGraph, VertexColouring, graph_from_json, graph_to_js
 from .structures import RelationalStructure, Vocabulary, structure_from_json, structure_to_json
 from .walks import check_vertex
 
-# `fo`, `homs` and `pdet` are imported by the transforms and writers that use
-# them, so that `reduce` compiles only its record's modules.  `QFFormula`,
-# `PathStarStructure` and `ZeroOneMatrix` appear only in annotations, which
-# are never evaluated.
+# The transforms and writers import `fo`, `homs` and `pdet` themselves, so
+# `reduce` compiles only its record's modules; annotations are never evaluated.
 
 
 # ---------------------------------------------------------------------------

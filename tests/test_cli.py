@@ -842,8 +842,8 @@ def test_counting_processes_do_not_load_typing(tmp_path):
 
 def every_subcommand(tmp_path, *, each_reduction=False):
     """A counting run of each subcommand: command line by name, in `COMMANDS`
-    order.  ``each_reduction`` puts one run per reduction, named ``reduce
-    <name>``, in place of the one ``reduce`` run."""
+    order.  ``each_reduction`` replaces the one ``reduce`` run by one run per
+    reduction, named ``reduce <name>``, at the end."""
     target = FUZZ_DOCUMENTS["reduce-hom"][0]["target"]
     files = {"@graph": write(tmp_path, "g.json", DIAMOND),
              "@colours": write(tmp_path, "gc.json", {**DIAMOND, "colours": [1, 2, 2, 3]}),
@@ -874,11 +874,10 @@ def every_subcommand(tmp_path, *, each_reduction=False):
     assert [argv[0] for argv in runs] == list(COMMANDS)
     named = {argv[0]: argv for argv in runs}
     if each_reduction:
-        i = list(named).index("reduce")
-        reductions = [(f"reduce {name}", ("reduce", "--name", name, "--in",
-                                          "@reduce" if name == "hom-to-reach" else "@walks",
-                                          "--out", "@out")) for name in REDUCTIONS]
-        named = dict([*list(named.items())[:i], *reductions, *list(named.items())[i + 1:]])
+        del named["reduce"]
+        named.update({f"reduce {name}": ("reduce", "--name", name, "--in",
+                                         "@reduce" if name == "hom-to-reach" else "@walks",
+                                         "--out", "@out") for name in REDUCTIONS})
     return {name: [files.get(arg, arg) for arg in argv] for name, argv in named.items()}
 
 
@@ -979,7 +978,6 @@ def test_hom_process_does_not_load_fo(tmp_path, command, used, unused):
     assert codes == [0]
     assert {f"paracount.{name}" for name in used} <= loaded
     assert not {f"paracount.{name}" for name in unused} & loaded
-
 
 
 #: Reduction -> the counting modules that its record never uses.
