@@ -1,8 +1,11 @@
 """The CLI's runners, one module per subcommand family, each with
-``add_arguments(parser, command)`` and ``run(module, args)``; ``module`` is
-the counting module that `paracount.cli.COMMANDS` names.  The CLI imports a
-family's module only once argparse selects one of its subcommands.  None
-imports `paracount.cli`: under ``python -m paracount.cli`` that module is
+``OPTIONS`` and ``run(module, args)``; ``module`` is the counting module
+that `paracount.cli.COMMANDS` names.  ``OPTIONS`` maps each subcommand to its
+options, in help order, as ``(flag, dest, kind, default, help)``: ``kind`` is
+``str``, ``int``, ``bool`` (store-true) or a tuple of choices, and a default
+of ``...`` marks a required option.  The CLI imports a family's module only
+once the command line names one of its subcommands.  None imports
+`paracount.cli`: under ``python -m paracount.cli`` that module is
 ``__main__``, and importing it would compile it a second time.
 
 This module holds what every runner shares: input files and the report.

@@ -5,11 +5,12 @@ from ..errors import CountingError
 from . import _load_json, _report
 
 
-def add_arguments(bp, command):
-    bp.add_argument("--program", required=True)
-    bp.add_argument("--x", required=True, help="ordinary input bits, e.g. 1011")
-    bp.add_argument("--y", help="nondeterministic bits: report acceptance instead")
-    bp.add_argument("--method", choices=["acc", "fast"], default="acc")
+OPTIONS = {"bp": (
+    ("--program", "program", str, ..., None),
+    ("--x", "x", str, ..., "ordinary input bits, e.g. 1011"),
+    ("--y", "y", str, None, "nondeterministic bits: report acceptance instead"),
+    ("--method", "method", ("acc", "fast"), "acc", None),
+)}
 
 
 def _parse_bits(text: str, width: int, what: str) -> list[int]:

@@ -5,30 +5,21 @@ from __future__ import annotations
 from ..errors import CountingError, read_array
 from . import _load_json, _read, _report
 
-#: Subcommand -> the options it takes besides ``--graph`` and ``--k``.
-_OPTIONS = {
-    "reach": ("s", "t"),
-    "logreach": ("s", "t", "a", "b"),
-    "logwalk": ("a", "b"),
-    "reachcolour": ("s", "t"),
-    "reach2cnf": ("s", "t", "a", "cnf"),
-    "cyclecover2cnf": ("a", "cnf"),
+_GRAPH = ("--graph", "graph", str, ..., None)
+_S, _T = ("--s", "s", int, None, None), ("--t", "t", int, None, None)
+_A = ("--a", "a", int, ..., None)
+_K = ("--k", "k", int, ..., None)
+_B = ("--b", "b", int, 2, None)
+_CNF = ("--cnf", "cnf", str, None, "DIMACS file; else inline 'clauses'")
+
+OPTIONS = {
+    "reach": (_GRAPH, _S, _T, _K),
+    "logreach": (_GRAPH, _S, _T, _A, _K, _B),
+    "logwalk": (_GRAPH, _A, _K, _B),
+    "reachcolour": (_GRAPH, _S, _T, _K),
+    "reach2cnf": (_GRAPH, _S, _T, _A, _K, _CNF),
+    "cyclecover2cnf": (_GRAPH, _A, _K, _CNF),
 }
-
-
-def add_arguments(cmd, command):
-    options = _OPTIONS[command]
-    cmd.add_argument("--graph", required=True)
-    if "s" in options:
-        cmd.add_argument("--s", type=int)
-        cmd.add_argument("--t", type=int)
-    if "a" in options:
-        cmd.add_argument("--a", type=int, required=True)
-    cmd.add_argument("--k", type=int, required=True)
-    if "b" in options:
-        cmd.add_argument("--b", type=int, default=2)
-    if "cnf" in options:
-        cmd.add_argument("--cnf", help="DIMACS file; else inline 'clauses'")
 
 
 def _endpoints(parts: dict, args) -> tuple[int, int]:

@@ -4,11 +4,12 @@ from __future__ import annotations
 from . import _load_json, _report
 
 
-def add_arguments(hom, command):
-    hom.add_argument("--n", type=int, required=True)
-    hom.add_argument("--target", required=True)
-    hom.add_argument("--k", type=int, required=True)
-    hom.add_argument("--oracle", action="store_true", help="exhaustive map oracle")
+OPTIONS = {"hom": (
+    ("--n", "n", int, ..., None),
+    ("--target", "target", str, ..., None),
+    ("--k", "k", int, ..., None),
+    ("--oracle", "oracle", bool, False, "exhaustive map oracle"),
+)}
 
 
 def run(homm, args):

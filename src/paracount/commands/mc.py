@@ -5,12 +5,13 @@ from ..errors import CountingError
 from . import _load_json, _report
 
 
-def add_arguments(mc, command):
-    mc.add_argument("--formula", required=True)
-    mc.add_argument("--structure", required=True)
-    mc.add_argument("--k", type=int, required=True)
-    mc.add_argument("--local", action="store_true", help="use the locality sweep")
-    mc.add_argument("--r", type=int, help="locality bound (default: computed)")
+OPTIONS = {"mc": (
+    ("--formula", "formula", str, ..., None),
+    ("--structure", "structure", str, ..., None),
+    ("--k", "k", int, ..., None),
+    ("--local", "local", bool, False, "use the locality sweep"),
+    ("--r", "r", int, None, "locality bound (default: computed)"),
+)}
 
 
 def run(fom, args):

@@ -4,10 +4,11 @@ from __future__ import annotations
 from . import _load_json, _report
 
 
-def add_arguments(det, command):
-    det.add_argument("--matrix", required=True)
-    det.add_argument("--k", type=int, required=True)
-    det.add_argument("--method", choices=["direct", "clow"], default="direct")
+OPTIONS = {"pdet": (
+    ("--matrix", "matrix", str, ..., None),
+    ("--k", "k", int, ..., None),
+    ("--method", "method", ("direct", "clow"), "direct", None),
+)}
 
 
 def run(pdm, args):

@@ -5,15 +5,15 @@ import json
 
 from . import _load_json
 
-#: The keys of `reductions.standard_records()`, spelt out so that building
-#: the parser imports no counting module (a test keeps the two equal).
+#: The keys of `reductions.standard_records()`, spelt out so that reading
+#: the command line imports no counting module (a test keeps the two equal).
 REDUCTIONS = ("hom-to-reach", "reach-to-mc", "reach-to-pdet", "reachcolour-to-hom")
 
-
-def add_arguments(red, command):
-    red.add_argument("--name", required=True, choices=REDUCTIONS)
-    red.add_argument("--in", dest="infile", required=True)
-    red.add_argument("--out", dest="outfile", required=True)
+OPTIONS = {"reduce": (
+    ("--name", "name", REDUCTIONS, ..., None),
+    ("--in", "infile", str, ..., None),
+    ("--out", "outfile", str, ..., None),
+)}
 
 
 def run(redm, args):

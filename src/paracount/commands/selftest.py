@@ -4,9 +4,10 @@ from __future__ import annotations
 import sys
 
 
-def add_arguments(st, command):
-    st.add_argument("--seed", type=int, default=7)
-    st.add_argument("--scale", choices=["smoke", "full"], default="smoke")
+OPTIONS = {"selftest": (
+    ("--seed", "seed", int, 7, None),
+    ("--scale", "scale", ("smoke", "full"), "smoke", None),
+)}
 
 
 def run(stm, args) -> int:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -1009,6 +1010,20 @@ def test_help_and_usage_errors_load_no_command_module():
     assert not {"paracount.walks", "paracount.graphs"} & loaded
 
 
+def test_counting_runs_and_refusals_build_no_parser(tmp_path):
+    runs = list(every_subcommand(tmp_path, each_reduction=True).values())
+    refusals = [[str(tmp_path / "missing.json") if os.path.isfile(arg) else arg for arg in argv]
+                for argv in runs if argv[0] != "selftest"]  # an input file gone: exit 1
+    # -S: nothing from site, so whatever holds argparse, gettext or locale loaded it.
+    codes, loaded = loaded_by([*runs, ["--limit", "100", *runs[0]], *refusals], "-S",
+                              as_main=True)
+    assert codes == [0] * (len(runs) + 1) + [1] * len(refusals)
+    assert not {"argparse", "gettext", "locale"} & loaded
+    for argv, code in ((["--help"], 0), (["reach", "--graph", "g.json"], 2)):
+        codes, loaded = loaded_by([argv], "-S", as_main=True)
+        assert codes == [code] and {"argparse", "gettext", "locale"} <= loaded
+
+
 #: One valid document per input format, with the command line that reads it.
 FUZZ_DOCUMENTS = {
     "graph": ({**DIAMOND, "colours": [1, 2, 2, 3]}, ("reachcolour", "--graph", "@in", "--k", "3")),
@@ -1098,3 +1113,90 @@ def test_mutated_documents_exit_with_a_stable_code(tmp_path, case):
         assert "KeyError(" not in err and "AttributeError(" not in err, (name, doc, err)
     if array:
         assert "TypeError(" not in err and "ValueError(" not in err, (name, doc, err)
+
+
+#: Option values that fit their kind, and odd ones: spellings argparse reads
+#: as something else or refuses (``\u0663`` and ``1_0`` are ints to both).
+FITTING = {int: ("0", "3", "12"), str: ("a", "7", "x y")}
+ODD = {int: ("-1", "", "x", " 4", "\u0663", "1_0", "1.5", "-h", "--"),
+       str: ("", "-x", "-h", "--", "-1")}
+LIMIT_VALUES = ("0", "100", "\u0663", "abc", "-1", "", "1_0")
+STRAY_TOKENS = ("-h", "--help", "--", "-1", "", "x", "--nosuch", "--limit", "5", "--k", "reach")
+FAULTS = ("odd value", "no such choice", "abbreviated", "=", "twice", "bare", "left out",
+          "stray", "subcommand")
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, faults): a subcommand with its options in the canonical
+    spelling, each required one given and each other one maybe, and then up
+    to two faults: an odd value, a choice not offered, an abbreviated flag,
+    ``--opt=value``, an option given twice, a flag without its value (or a
+    store-true flag with one), a required option left out, a stray token, a
+    wrong subcommand."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    head = ["--limit", draw(st.sampled_from(LIMIT_VALUES))] if draw(st.booleans()) else []
+    given_options = []  # [kind, tokens] for each option given
+    for flag, _, kind, default, _ in draw(st.permutations(
+            cli._command_module(command).OPTIONS[command])):
+        if default is ... or draw(st.booleans()):
+            fitting = kind if isinstance(kind, tuple) else FITTING.get(kind)
+            given_options.append([kind, [flag] if kind is bool else
+                                  [flag, draw(st.sampled_from(fitting))]])
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
+    stray = []
+    for fault in faults:
+        if fault == "stray":
+            stray.append(draw(st.sampled_from(STRAY_TOKENS)))
+            continue
+        if fault == "subcommand":
+            command = draw(st.sampled_from((command[:4], "nosuch", "", "--help")))
+            continue
+        if not given_options:
+            continue
+        i = draw(st.integers(0, len(given_options) - 1))
+        if fault == "no such choice":  # given to an option with choices, if there is one
+            i = max(range(len(given_options)), key=lambda j: isinstance(given_options[j][0], tuple))
+            fault = "odd value"
+        kind, tokens = given_options[i]
+        flag = tokens[0]
+        if fault == "odd value" and len(tokens) == 2 and kind is not bool:
+            tokens[1] = draw(st.sampled_from(
+                ODD.get(kind) or ("other", kind[0].upper(), kind[0][:2], "")))
+        elif fault == "abbreviated" and len(flag) > 3:
+            tokens[0] = flag[:draw(st.integers(3, len(flag) - 1))]
+        elif fault == "=":
+            given_options[i][1] = ["=".join(tokens) if kind is not bool else flag + "=1"]
+        elif fault == "twice":
+            given_options.append([kind, list(tokens)])
+        elif fault == "bare":
+            given_options[i][1] = [flag, "1"] if kind is bool else [flag]
+        elif fault == "left out":
+            del given_options[i]
+    argv = [*head, command, *(token for _, tokens in given_options for token in tokens)]
+    for token in stray:
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv, faults
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines(), st.sampled_from((None, "7", "abc", "-1")))
+def test_direct_reader_parses_as_argparse_does(case, env_limit):
+    argv, faults = case
+    with mock.patch.dict(os.environ):
+        os.environ.pop("PARACOUNT_LIMIT", None)
+        if env_limit is not None:
+            os.environ["PARACOUNT_LIMIT"] = env_limit
+        direct = cli._direct(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(cli._build_parser().parse_args(argv))
+            except SystemExit as exc:  # 0 after help, 2 after a usage error
+                parsed = exc.code
+    if isinstance(parsed, int):
+        assert parsed in (0, 2) and direct is None, argv
+    elif direct is not None:  # the canonical spelling only: no flag twice
+        flags = [arg for arg in argv if arg.startswith("-")]
+        assert vars(direct) == parsed and len(flags) == len(set(flags)), argv
+    elif not faults:
+        raise AssertionError(f"{argv} is canonical, but the direct reader passed it on")
