@@ -18,13 +18,7 @@ import importlib
 # Each submodule with the names the package re-exports from it.
 _EXPORTS = {
     "errors": ("DEFAULT_LIMIT", "CountingError", "LimitExceeded"),
-    "graphs": (
-        "DirectedGraph",
-        "VertexColouring",
-        "enumerate_walks",
-        "validate_graph",
-        "walk_count_matrix",
-    ),
+    "graphs": ("DirectedGraph", "VertexColouring", "validate_graph"),
     "walks": (
         "count_log_reach_b",
         "count_log_walk_b",
@@ -33,13 +27,8 @@ _EXPORTS = {
         "log_gate_passes",
         "max_out_degree",
     ),
-    "cnf": (
-        "EdgeCNF",
-        "count_cycle_cover2_cnf",
-        "count_log_reach2_cnf",
-        "enumerate_cycle_covers",
-        "eval_cnf",
-    ),
+    "cnf": ("EdgeCNF", "count_log_reach2_cnf", "eval_cnf"),
+    "covers": ("count_cycle_cover2_cnf",),
     "structures": ("RelationalStructure", "Vocabulary"),
     "fo": (
         "QFFormula",
@@ -50,16 +39,7 @@ _EXPORTS = {
         "max_arity",
     ),
     "homs": ("count_hom_oracle", "count_hom_path_star", "is_homomorphism", "make_path_star"),
-    "pdet": (
-        "ClowSequence",
-        "ZeroOneMatrix",
-        "clow_sign",
-        "det_cross_check",
-        "enumerate_k_clow_sequences",
-        "eta",
-        "pdet_clow",
-        "pdet_direct",
-    ),
+    "pdet": ("ZeroOneMatrix", "pdet_clow", "pdet_direct"),
     "bp": (
         "BranchingProgram",
         "bp_accepts",
@@ -77,10 +57,22 @@ _EXPORTS = {
         "reduce_reach_to_pdet",
         "verify_parsimonious",
     ),
+    "oracles": (
+        "ClowSequence",
+        "clow_sign",
+        "det_cross_check",
+        "enumerate_cycle_covers",
+        "enumerate_k_clow_sequences",
+        "enumerate_walks",
+        "eta",
+        "walk_count_matrix",
+    ),
 }
 
-#: Exported name -> the submodule that defines it; a submodule maps to itself.
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+#: Exported name -> the submodule that defines it; a submodule maps to itself,
+#: but for `covers` and `oracles`, which are not exported by name.
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in (names if module in ("covers", "oracles") else (module, *names))}
 
 __all__ = sorted(_SOURCE)
 __version__ = "0.1.0"

@@ -120,7 +120,7 @@ COMMANDS = {
     "logwalk": ("all walks of a edges under the log gate", "graph", "walks"),
     "reachcolour": ("colour-respecting s-t walks", "graph", "walks"),
     "reach2cnf": ("CNF-constrained s-t walks of a edges", "graph", "cnf"),
-    "cyclecover2cnf": ("CNF-constrained cycle covers", "graph", "cnf"),
+    "cyclecover2cnf": ("CNF-constrained cycle covers", "graph", "covers"),
     "mc": ("satisfying assignments of a quantifier-free formula", "mc", "fo"),
     "hom": ("homomorphisms from the starred path", "hom", "homs"),
     "pdet": ("parameterised determinant of a 0/1 matrix", "pdet", "pdet"),

@@ -1,5 +1,5 @@
 """The six graph subcommands: `reach`, `logreach`, `logwalk`, `reachcolour`
-(counting module `walks`) and `reach2cnf`, `cyclecover2cnf` (`cnf`)."""
+(counting module `walks`), `reach2cnf` (`cnf`) and `cyclecover2cnf` (`covers`)."""
 from __future__ import annotations
 
 from ..errors import CountingError, read_array
@@ -30,7 +30,9 @@ def _endpoints(parts: dict, args) -> tuple[int, int]:
     return s, t
 
 
-def _load_cnf(cnfm, parts: dict, args):
+def _load_cnf(parts: dict, args):
+    from .. import cnf as cnfm  # read at each call: a function rebound there is run
+
     if args.cnf and "clauses" in parts:
         raise CountingError("two-cnf-sources", "use --cnf or inline clauses, not both")
     if args.cnf:
@@ -42,7 +44,7 @@ def _load_cnf(cnfm, parts: dict, args):
 
 
 def run(mod, args):
-    """``mod`` is ``cnf`` for the two CNF subcommands, else ``walks``."""
+    """``mod`` is the subcommand's counting module: ``walks``, ``cnf`` or ``covers``."""
     from ..graphs import graph_from_json  # read at each call: a function rebound there is run
 
     extra = {"clauses"} if args.command.endswith("cnf") else set()
@@ -66,10 +68,10 @@ def run(mod, args):
         _report(args, mod.count_reach_colour(vc, s, t, args.k), vc.m != args.k)
     elif args.command == "reach2cnf":
         s, t = _endpoints(parts, args)
-        phi = _load_cnf(mod, parts, args)
+        phi = _load_cnf(parts, args)
         gate = not mod.reach2cnf_gate_passes(g, phi, args.a, args.k)
         _report(args, mod.count_log_reach2_cnf(g, s, t, phi, args.a, args.k), gate)
     else:  # cyclecover2cnf
-        phi = _load_cnf(mod, parts, args)
+        phi = _load_cnf(parts, args)
         gate = not mod.cyclecover_gate_passes(g, phi, args.a)
         _report(args, mod.count_cycle_cover2_cnf(g, phi, args.a, args.k, args.limit), gate)

@@ -85,26 +85,6 @@ class VertexColouring(Record):
         return self.colours[v]
 
 
-def cycles_of(succ: dict[int, int]) -> list[list[int]]:
-    """Decompose a permutation, given as a successor map, into its cycles.
-
-    Each cycle starts at its smallest vertex; cycles come in that order.
-    """
-    seen: set[int] = set()
-    cycles = []
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        cyc = []
-        v = start
-        while v not in seen:
-            seen.add(v)
-            cyc.append(v)
-            v = succ[v]
-        cycles.append(cyc)
-    return cycles
-
-
 # ---------------------------------------------------------------------------
 # File format: {"n": int, "edges": [[u, v], ...]} with optional "colours",
 # "s" and "t".  Unknown fields are rejected.
@@ -138,10 +118,10 @@ def graph_to_json(g: DirectedGraph, **extra) -> dict:
     return obj
 
 
-#: The walk oracles, defined in `oracles`, still resolve here (PEP 562), loading
-#: that module on first use, so no counting process compiles them; the
-#: benchmark's spans and references and the package exports look them up here.
-_ORACLES = frozenset({"enumerate_walks", "walk_count_matrix"})
+#: The walk oracles and `cycles_of`, defined in `oracles`, still resolve here
+#: (PEP 562), loading that module on first use, so no counting process compiles
+#: them; the benchmark's spans and references look the walk oracles up here.
+_ORACLES = frozenset({"cycles_of", "enumerate_walks", "walk_count_matrix"})
 
 
 def __getattr__(name: str):

@@ -1,13 +1,17 @@
 """The brute-force oracles that the fast routes are checked against: the
-walk enumerator and matrix power, the k-clow-sequence enumerator with the
-sign-reversing involution ``eta``, and the cofactor determinant.
+walk enumerator and matrix power, the cycle-cover enumerator, the
+k-clow-sequence enumerator with the sign-reversing involution ``eta``, and
+the cofactor determinant.
 
 Only the self-test battery, the tests and the benchmark references call
-them, so no counting process compiles this module; ``pdet`` and ``graphs``
-still resolve the names they used to define, loading it on first use.
+them, so no counting process compiles this module; ``pdet``, ``graphs`` and
+``cnf`` still resolve the names they used to define, loading it on first use.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+from .cnf import _successor_choices
 from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit
 from .pdet import pdet_direct
 from .walks import check_vertex
@@ -80,6 +84,89 @@ def enumerate_walks(
 
     rec([s], a)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Cycle covers
+# ---------------------------------------------------------------------------
+
+
+def cycles_of(succ: dict[int, int]) -> list[list[int]]:
+    """Decompose a permutation, given as a successor map, into its cycles.
+
+    Each cycle starts at its smallest vertex; cycles come in that order.
+    """
+    seen: set[int] = set()
+    cycles = []
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        cyc = []
+        v = start
+        while v not in seen:
+            seen.add(v)
+            cyc.append(v)
+            v = succ[v]
+        cycles.append(cyc)
+    return cycles
+
+
+def characteristic_assignment(g: DirectedGraph, traversed: set[int]) -> dict[int, int]:
+    """Total 0/1 assignment over all edges of g: traversed edges are true."""
+    return {e: (1 if e in traversed else 0) for e in range(len(g.edges))}
+
+
+def _cover_search(g: DirectedGraph, visit, limit: int) -> None:
+    """Call visit(successor map) on each cycle cover, charged against ``limit``.
+
+    A depth-first search over the vertices in order, trying each vertex's
+    choices in edge-id order; ``stack[v]`` is the next choice to try at vertex
+    v, so the search depth is bounded by memory, not by the recursion limit.
+    """
+    choices = _successor_choices(g)
+    succ = [-1] * g.n
+    used = [False] * g.n
+    reached = 0
+    stack = [0]
+    while stack:
+        v = len(stack) - 1
+        if v == g.n:
+            reached += 1
+            check_limit(reached, limit, "cycle covers")
+            visit(succ)
+            stack.pop()
+            continue
+        if succ[v] != -1:
+            used[g.edges[succ[v]][1]] = False
+            succ[v] = -1
+        i = stack[v]
+        while i < len(choices[v]) and used[choices[v][i][0]]:
+            i += 1
+        if i == len(choices[v]):
+            stack.pop()
+            continue
+        target, succ[v] = choices[v][i]
+        used[target] = True
+        stack[v] = i + 1
+        stack.append(0)
+
+
+def cover_cycles(g: DirectedGraph, edge_ids: Iterable[int]) -> list[list[int]]:
+    """Decompose a cycle cover (as edge ids) into vertex cycles."""
+    return cycles_of(dict(g.edges[eid] for eid in edge_ids))
+
+
+def enumerate_cycle_covers(
+    g: DirectedGraph, limit: int = DEFAULT_LIMIT
+) -> list[tuple[int, ...]]:
+    """All cycle covers as sorted edge-id tuples, in lexicographic order.
+
+    This is the brute-force oracle behind the constrained cycle-cover counter.
+    """
+    covers: list[tuple[int, ...]] = []
+    _cover_search(g, lambda succ: covers.append(tuple(sorted(succ))), limit)
+    covers.sort()
+    return covers
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def matrix_to_json(a: ZeroOneMatrix) -> dict:
 
 #: Names defined in `oracles` that still resolve here (PEP 562), loading that
 #: module on first use, so no counting process compiles it; the benchmark's
-#: spans and the package exports look them up here.
+#: spans look them up here.
 _ORACLES = frozenset({"Clow", "ClowSequence", "clow_sign", "det_cross_check",
                       "determinant_cofactor", "enumerate_k_clow_sequences", "eta",
                       "validate_k_clow_sequence"})

@@ -18,6 +18,7 @@ from collections.abc import Callable
 
 from . import bp as bpm
 from . import cnf as cnfm
+from . import covers as cvm
 from . import fo as fom
 from . import homs as homm
 from . import oracles as orm
@@ -517,7 +518,7 @@ def check_cnf_counters(rng: random.Random, scale: Scale) -> list[str]:
         else:
             expected = 0
             for w in enumerate_walks(g, s, t, a):
-                assignment = cnfm.characteristic_assignment(g, walk_edge_ids(g, w))
+                assignment = orm.characteristic_assignment(g, walk_edge_ids(g, w))
                 if cnfm.eval_cnf(phi, assignment):
                     expected += 1
         if got != expected:
@@ -532,26 +533,26 @@ def check_cnf_counters(rng: random.Random, scale: Scale) -> list[str]:
         cphi = rand_edge_cnf(rng, cg)
         ca = rng.randint(0, 3)
         ck = rng.randint(0, 3)
-        got_cc = cnfm.count_cycle_cover2_cnf(cg, cphi, ca, ck)
-        if not cnfm.cyclecover_gate_passes(cg, cphi, ca):
+        got_cc = cvm.count_cycle_cover2_cnf(cg, cphi, ca, ck)
+        if not cvm.cyclecover_gate_passes(cg, cphi, ca):
             expected_cc = 0
         else:
             expected_cc = 0
-            for cover in cnfm.enumerate_cycle_covers(cg):
-                cycles = cnfm.cover_cycles(cg, cover)
+            for cover in orm.enumerate_cycle_covers(cg):
+                cycles = orm.cover_cycles(cg, cover)
                 nontrivial = [c for c in cycles if len(c) > 1]
                 if len(nontrivial) > ck:
                     continue
                 if sum(len(c) for c in nontrivial) != ck * ca:
                     continue
-                assignment = cnfm.characteristic_assignment(cg, set(cover))
+                assignment = orm.characteristic_assignment(cg, set(cover))
                 if cnfm.eval_cnf(cphi, assignment):
                     expected_cc += 1
         if got_cc != expected_cc:
             failures.append(
                 f"trial {trial}: cyclecover mismatch {got_cc} != {expected_cc}"
             )
-        total_cc = len(cnfm.enumerate_cycle_covers(cg))
+        total_cc = len(orm.enumerate_cycle_covers(cg))
         if got_cc > total_cc:
             failures.append(f"trial {trial}: cyclecover count above total covers")
     return failures

@@ -997,6 +997,10 @@ def test_a_process_compiles_only_its_own_command_module(tmp_path, name):
     assert "paracount.cli" not in loaded  # the CLI runs as `__main__`, compiled once
     if argv[0] != "selftest":
         assert "paracount.oracles" not in loaded
+    if argv[0] not in ("cyclecover2cnf", "selftest"):  # reach2cnf among them
+        assert "paracount.covers" not in loaded
+    if argv[0] == "cyclecover2cnf":
+        assert {"paracount.covers", "paracount.cnf"} <= loaded
     if argv[0] == "reduce":
         assert not {f"paracount.{m}" for m in REDUCE_UNUSED[argv[2]]} & loaded
 

@@ -4,18 +4,20 @@ import pytest
 
 from paracount.cnf import (
     EdgeCNF,
-    characteristic_assignment,
-    count_cycle_cover2_cnf,
     count_log_reach2_cnf,
-    cover_cycles,
-    cyclecover_gate_passes,
-    enumerate_cycle_covers,
     eval_cnf,
     parse_dimacs,
     reach2cnf_gate_passes,
 )
+from paracount.covers import count_cycle_cover2_cnf, cyclecover_gate_passes
 from paracount.errors import CountingError
-from paracount.graphs import DirectedGraph, enumerate_walks, validate_graph
+from paracount.graphs import DirectedGraph, validate_graph
+from paracount.oracles import (
+    characteristic_assignment,
+    cover_cycles,
+    enumerate_cycle_covers,
+    enumerate_walks,
+)
 from paracount.walks import count_log_reach_b
 
 DIAMOND = validate_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])

@@ -48,15 +48,24 @@ def test_from_imports_and_unknown_names():
 
 
 def test_names_moved_to_oracles_resolve_where_they_were_defined():
-    from paracount import graphs, oracles, pdet
+    from paracount import cnf, covers, graphs, oracles, pdet
+    from paracount.cnf import count_cycle_cover2_cnf
     from paracount.graphs import enumerate_walks
 
     assert pdet.eta is oracles.eta
     assert getattr(paracount.pdet, "eta") is oracles.eta  # a tracer's lookup by name
     assert graphs.walk_count_matrix is oracles.walk_count_matrix
+    assert graphs.cycles_of is oracles.cycles_of
     assert enumerate_walks is oracles.enumerate_walks
     assert paracount.eta is oracles.eta
-    for module, other in ((pdet, "walk_count_matrix"), (graphs, "eta")):
+    for name in ("_cover_search", "characteristic_assignment", "cover_cycles",
+                 "enumerate_cycle_covers"):
+        assert getattr(cnf, name) is getattr(oracles, name), name
+    assert count_cycle_cover2_cnf is covers.count_cycle_cover2_cnf
+    assert getattr(paracount.cnf, "cyclecover_gate_passes") is covers.cyclecover_gate_passes
+    assert paracount.count_cycle_cover2_cnf is covers.count_cycle_cover2_cnf
+    assert paracount.enumerate_cycle_covers is oracles.enumerate_cycle_covers
+    for module, other in ((pdet, "walk_count_matrix"), (graphs, "eta"), (cnf, "eta")):
         for name in ("no_such_name", other):  # each hook resolves only its own names
             with pytest.raises(AttributeError):
                 getattr(module, name)
