@@ -15,7 +15,7 @@ defines the name, so a process loads only the counting modules it uses.
 
 import importlib
 
-# Each submodule with the names the package re-exports from it.
+# Each exported submodule with the names the package re-exports from it.
 _EXPORTS = {
     "errors": ("DEFAULT_LIMIT", "CountingError", "LimitExceeded"),
     "graphs": ("DirectedGraph", "VertexColouring", "validate_graph"),
@@ -28,7 +28,6 @@ _EXPORTS = {
         "max_out_degree",
     ),
     "cnf": ("EdgeCNF", "count_log_reach2_cnf", "eval_cnf"),
-    "covers": ("count_cycle_cover2_cnf",),
     "structures": ("RelationalStructure", "Vocabulary"),
     "fo": (
         "QFFormula",
@@ -57,6 +56,11 @@ _EXPORTS = {
         "reduce_reach_to_pdet",
         "verify_parsimonious",
     ),
+}
+
+# Names the package re-exports from submodules it does not export by name.
+_ALSO = {
+    "covers": ("count_cycle_cover2_cnf",),
     "oracles": (
         "ClowSequence",
         "clow_sign",
@@ -69,10 +73,9 @@ _EXPORTS = {
     ),
 }
 
-#: Exported name -> the submodule that defines it; a submodule maps to itself,
-#: but for `covers` and `oracles`, which are not exported by name.
-_SOURCE = {name: module for module, names in _EXPORTS.items()
-           for name in (names if module in ("covers", "oracles") else (module, *names))}
+#: Exported name -> the submodule that defines it; a submodule maps to itself.
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+_SOURCE.update((name, module) for module, names in _ALSO.items() for name in names)
 
 __all__ = sorted(_SOURCE)
 __version__ = "0.1.0"

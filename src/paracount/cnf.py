@@ -172,8 +172,7 @@ def _successor_choices(g: DirectedGraph) -> list[list[tuple[int, int]]]:
 #: cover enumerator) still resolve here (PEP 562), loading that module on
 #: first use, so a `reach2cnf` process compiles neither; the benchmark's
 #: spans and references look them up here.
-_MOVED = {"count_cycle_cover2_cnf": "covers", "cyclecover_gate_passes": "covers",
-          "_cover_search": "oracles", "characteristic_assignment": "oracles",
+_MOVED = {"count_cycle_cover2_cnf": "covers", "characteristic_assignment": "oracles",
           "cover_cycles": "oracles", "enumerate_cycle_covers": "oracles"}
 
 

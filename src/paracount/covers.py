@@ -10,6 +10,8 @@ n^O(k) steps for out-degree <= 2, instead of walking every cover.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .cnf import EdgeCNF, _successor_choices, eval_cnf, validate_cnf_for_graph
 from .errors import DEFAULT_LIMIT, CountingError, check_limit
 from .walks import _check_degree_bound, ceil_log2
@@ -60,8 +62,8 @@ def count_cycle_cover2_cnf(
     Returns 0 when a > ceil(log2(|g| + |phi|)) with |g| = n + |edges|.
     Requires out-degree <= 2.  Combines up to k disjoint simple cycles, in
     increasing head order, that cover every vertex without a self-loop; raises
-    LimitExceeded once the cycle search and the combinations take more than
-    ``limit`` steps together.
+    LimitExceeded once the cycle search, the combinations and the candidate
+    cycles looked at take more than ``limit`` steps together.
     """
     _check_degree_bound(g, 2)
     validate_cnf_for_graph(cnf, g)
@@ -82,6 +84,11 @@ def count_cycle_cover2_cnf(
         check_limit(steps, limit, "cycle-cover search steps")
 
     cycles = _cycles(g, size, charge)
+    # after[h]: the index of the first cycle whose head is above h
+    after = [0] * g.n
+    for head, _, _ in cycles:
+        after[head] += 1
+    after = list(accumulate(after))
     relevant = [(e, g.edges[e]) for e in cnf.variables()]
     total = 0
     # (next cycle to try, covered vertices, cycle vertices still to choose, cycles
@@ -99,12 +106,16 @@ def count_cycle_cover2_cnf(
         elif left and allowed:
             # A cycle holds no vertex below its head, so once the heads pass the
             # least uncovered loopless vertex, nothing can cover it.
-            lowest = (uncovered & -uncovered).bit_length() - 1 if uncovered else g.n
-            for i in range(start, len(cycles)):
+            end = after[(uncovered & -uncovered).bit_length() - 1] if uncovered else len(cycles)
+            i = start
+            while i < end:
+                charge()  # every candidate looked at is a step
                 head, mask, ids = cycles[i]
-                if head > lowest:
-                    break
+                if covered >> head & 1:
+                    i = after[head]  # each cycle at a covered head overlaps the cover
+                    continue
                 if len(ids) <= left and not mask & covered:
                     pending.append((i + 1, covered | mask, left - len(ids), allowed - 1,
                                     chosen + ids))
+                i += 1
     return total

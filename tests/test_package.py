@@ -58,11 +58,9 @@ def test_names_moved_to_oracles_resolve_where_they_were_defined():
     assert graphs.cycles_of is oracles.cycles_of
     assert enumerate_walks is oracles.enumerate_walks
     assert paracount.eta is oracles.eta
-    for name in ("_cover_search", "characteristic_assignment", "cover_cycles",
-                 "enumerate_cycle_covers"):
+    for name in ("characteristic_assignment", "cover_cycles", "enumerate_cycle_covers"):
         assert getattr(cnf, name) is getattr(oracles, name), name
     assert count_cycle_cover2_cnf is covers.count_cycle_cover2_cnf
-    assert getattr(paracount.cnf, "cyclecover_gate_passes") is covers.cyclecover_gate_passes
     assert paracount.count_cycle_cover2_cnf is covers.count_cycle_cover2_cnf
     assert paracount.enumerate_cycle_covers is oracles.enumerate_cycle_covers
     for module, other in ((pdet, "walk_count_matrix"), (graphs, "eta"), (cnf, "eta")):
