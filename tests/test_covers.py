@@ -94,15 +94,6 @@ def test_too_many_loopless_vertices_count_zero_without_a_search():
         count_cycle_cover2_cnf(loops_and_two_cycles(60), EdgeCNF.empty(), 2, 2, 0)
 
 
-def test_every_search_step_is_charged():
-    g = loops_and_two_cycles(60)
-    # 60 heads, 30 second vertices, 1 + 30 + 435 combinations, and 30 + 435
-    # candidate cycles looked at.
-    assert count_cycle_cover2_cnf(g, EdgeCNF.empty(), 2, 2, 1021) == 435
-    with pytest.raises(LimitExceeded):
-        count_cycle_cover2_cnf(g, EdgeCNF.empty(), 2, 2, 1020)
-
-
 def layers_through_zero(layers):
     """Vertex 0, then ``layers`` layers of two vertices, each layer joined to
     the next and the last back to 0: 2^layers cycles, all through vertex 0."""
@@ -113,13 +104,18 @@ def layers_through_zero(layers):
     return DirectedGraph(2 * layers + 1, tuple(edges))
 
 
-def test_cycles_sharing_a_head_are_skipped_at_one_step_each():
-    g = layers_through_zero(8)
-    # The search from each head: 1 + 510 states from 0, and 2 * (1 + 2^(9-i) - 2)
-    # from the two heads of layer i, 1 515 in all.  Then 1 + 256 combinations,
-    # 256 cycles looked at from the start, and one step from each of 255 choices
-    # to pass the other 255 cycles at the covered head 0: 768.  Looking at each
-    # of those cycles would take about 2^15 steps more.
-    assert count_cycle_cover2_cnf(g, EdgeCNF.empty(), 1, 17, 2283) == 0
+@pytest.mark.parametrize("g, a, k, steps, count", [
+    # 60 heads, 30 second vertices, 1 + 30 + 435 combinations, and 30 + 435
+    # candidate cycles looked at.
+    (loops_and_two_cycles(60), 2, 2, 1021, 435),
+    # The search: 1 + 510 states from head 0, and 2 * (1 + 2^(9-i) - 2) from
+    # the two heads of layer i, 1 515 in all.  Then 1 + 256 combinations, 256
+    # cycles looked at from the start, and one step from each of 255 choices to
+    # pass the other cycles at the covered head 0, where looking at each of
+    # them would take about 2^15 steps.
+    (layers_through_zero(8), 1, 17, 2283, 0),
+])
+def test_every_search_step_is_charged(g, a, k, steps, count):
+    assert count_cycle_cover2_cnf(g, EdgeCNF.empty(), a, k, steps) == count
     with pytest.raises(LimitExceeded):
-        count_cycle_cover2_cnf(g, EdgeCNF.empty(), 1, 17, 2282)
+        count_cycle_cover2_cnf(g, EdgeCNF.empty(), a, k, steps - 1)
