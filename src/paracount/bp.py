@@ -8,14 +8,14 @@ is accepted when a source-to-sink path consistent with it exists; the
 accepting count of an ordinary input x is the number of y assignments it
 accepts with.
 
-Read-once certification confines each y_j's label occurrences to one band
-of consecutive layers, bands ordered by j; ``stagger`` re-layers a program
-into that shape (keeping only its source-sink subgraph, each node moved to
-the band of the largest y index read up to it) whenever every source-sink
-path reads y variables in strictly increasing index order.  One pass in
-layer order, linear in the edges, checks that order for both ``stagger``
-and ``bp_count_fast``; the fast counter then keeps one count per node on a
-source-sink path, halved at each y read.
+The fast counter needs the read-once model: the y bits on a one-way tape,
+so every source-sink path reads y indices in strictly increasing order,
+and determinism given inputs.  One pass in layer order, linear in the
+edges, checks that order; the counter then keeps one count per node on a
+source-sink path, halved at each y read.  No counting route needs
+read-once certification, which confines each y_j's label occurrences to
+one band of consecutive layers, or ``stagger``, which re-layers an ordered
+program into that shape; the tests and the benchmark still use both.
 """
 from __future__ import annotations
 
@@ -347,34 +347,29 @@ def stagger(p: BranchingProgram) -> BranchingProgram:
 
 
 # ---------------------------------------------------------------------------
-# Fast counting under a certificate
+# Fast counting in the read-once model
 # ---------------------------------------------------------------------------
 
 
 def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
     """Accepting count by one pass in layer order, no y enumeration.
 
-    Requires a read-once certificate, determinism given inputs, and
-    strictly increasing y reads on every source-sink path; one layer-order
-    pass, linear in the edges, checks the last.  A source-sink path that
-    reads r distinct y bits accepts 2^(numY - r) assignments, so each node
-    on such a path keeps one count: the source starts at 2^numY, and the
-    count follows every edge that agrees with x, halved at each y read.
-    The halving is exact, since every prefix reaching y_j has read fewer
-    than j bits.
+    Requires determinism given inputs and strictly increasing y reads on
+    every source-sink path; one layer-order pass, linear in the edges,
+    checks the second.  Fixing (x, y) then forces at most one path, so the
+    count sums, over the source-sink paths that agree with x, the
+    2^(numY - r) assignments of a path that reads r distinct y bits.  Each
+    node on such a path keeps one count: the source starts at 2^numY, and
+    the count follows every edge that agrees with x, halved at each y read.
+    The halving is exact, since every path that reaches a y_j node has read
+    fewer than j bits.
     """
     if len(x) != p.num_x:
         raise CountingError("width-mismatch", f"|x| = {len(x)}, numX = {p.num_x}")
-    certificate = check_read_once_certified(p)
-    if isinstance(certificate, Refusal):
-        raise CountingError(
-            "precondition-violated", f"not read-once certified: {certificate.reason}"
-        )
     if not is_deterministic_given_inputs(p):
         raise CountingError(
             "not-deterministic", "a node offers two edges for one bit value"
         )
-    # Certified bands rule out decreasing reads, so this refuses exactly repeated ones.
     upto = _check_increasing_reads(p, "precondition-violated")
 
     out = p.out_edges()

@@ -9,7 +9,8 @@ OPTIONS = {"bp": (
     ("--program", "program", str, ..., None),
     ("--x", "x", str, ..., "ordinary input bits, e.g. 1011"),
     ("--y", "y", str, None, "nondeterministic bits: report acceptance instead"),
-    ("--method", "method", ("acc", "fast"), "acc", None),
+    ("--method", "method", ("acc", "fast"), "acc",
+     "fast needs determinism and strictly increasing y reads on every source-sink path"),
 )}
 
 

@@ -167,22 +167,3 @@ def count_hom_path_star(n: int, b: RelationalStructure, k: int) -> int:
         return 0
     graph, s, t = build_layered_reach_graph(b, n)
     return count_reach(graph, s, t, n + 2)
-
-
-def hom_walk_correspondence(
-    n: int, b: RelationalStructure, limit: int = DEFAULT_LIMIT
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Materialise both sides of the walk <-> homomorphism bijection.
-
-    Returns (walks stripped of s and t, homomorphism image tuples); the
-    stripped walk (v_1, ..., v_n) corresponds to the map i-1 -> v_i.  Both
-    lists are sorted; the correspondence holds iff they are equal.
-    """
-    from .oracles import enumerate_walks
-
-    graph, s, t = build_layered_reach_graph(b, n)
-    walks = enumerate_walks(graph, s, t, n + 1, limit)
-    stripped = sorted(w[1:-1] for w in walks)
-    pattern = make_path_star(n).structure
-    homs = sorted(enumerate_homs(pattern, b, limit))
-    return stripped, homs

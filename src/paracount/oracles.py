@@ -1,5 +1,6 @@
 """The brute-force oracles that the fast routes are checked against: the
-walk enumerator and matrix power, the cycle-cover enumerator, the
+walk enumerator and matrix power, both sides of the walk-homomorphism
+bijection for starred paths, the cycle-cover enumerator, the
 k-clow-sequence enumerator with the sign-reversing involution ``eta``, and
 the cofactor determinant.
 
@@ -16,7 +17,8 @@ from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit
 from .pdet import pdet_direct
 from .walks import check_vertex
 
-# `DirectedGraph` and `ZeroOneMatrix` appear only in annotations, never evaluated.
+# `DirectedGraph`, `RelationalStructure` and `ZeroOneMatrix` appear only in
+# annotations, never evaluated.
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,25 @@ def enumerate_walks(
 
     rec([s], a)
     return out
+
+
+def hom_walk_correspondence(
+    n: int, b: RelationalStructure, limit: int = DEFAULT_LIMIT
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Materialise both sides of the walk <-> homomorphism bijection.
+
+    Returns (walks stripped of s and t, homomorphism image tuples); the
+    stripped walk (v_1, ..., v_n) corresponds to the map i-1 -> v_i.  Both
+    lists are sorted; the correspondence holds iff they are equal.
+    """
+    from .homs import build_layered_reach_graph, enumerate_homs, make_path_star
+
+    graph, s, t = build_layered_reach_graph(b, n)
+    walks = enumerate_walks(graph, s, t, n + 1, limit)
+    stripped = sorted(w[1:-1] for w in walks)
+    pattern = make_path_star(n).structure
+    homs = sorted(enumerate_homs(pattern, b, limit))
+    return stripped, homs
 
 
 # ---------------------------------------------------------------------------

@@ -612,7 +612,7 @@ def check_hom_correspondence(rng: random.Random, scale: Scale) -> list[str]:
         expected = oracle if n <= k else 0
         if got != expected:
             failures.append(f"trial {trial}: hom count {got} != {expected}")
-        walks, homs = homm.hom_walk_correspondence(n, b)
+        walks, homs = orm.hom_walk_correspondence(n, b)
         if walks != homs:
             failures.append(f"trial {trial}: walk/hom bijection mismatch")
         if len(homs) != oracle:
@@ -716,8 +716,10 @@ def check_bp(rng: random.Random, scale: Scale) -> list[str]:
             base = bpm.bp_count_acc(p, x)
             if bpm.bp_count_acc(staggered, x) != base:
                 failures.append(f"trial {trial}: stagger changed #acc at x={x}")
-            if bpm.bp_count_fast(staggered, x) != base:
+            if bpm.bp_count_fast(p, x) != base:
                 failures.append(f"trial {trial}: fast count mismatch at x={x}")
+            if bpm.bp_count_fast(staggered, x) != base:
+                failures.append(f"trial {trial}: fast count of stagger mismatch at x={x}")
     return failures
 
 

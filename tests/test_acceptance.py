@@ -88,7 +88,7 @@ def test_criterion_09_hom_correspondence():
 
 def test_criterion_10_bp_suite():
     assert FULL.bp_programs >= 300
-    _run(10, "band counting equals y-enumeration; stagger preserves", 30, check_bp)
+    _run(10, "fast counting equals y-enumeration; stagger preserves", 30, check_bp)
 
 
 def test_criterion_11_full_selftest_via_cli():

@@ -262,16 +262,25 @@ def test_count_fast_examples():
 
 
 def test_count_fast_matches_enumeration_randomly():
+    # rand_ordered_bp draws uncertified programs too; the counter takes them
+    # as they are, and after staggering.
     rng = random.Random(62)
     for _ in range(120):
-        p = stagger(rand_ordered_bp(rng))
+        p = rand_ordered_bp(rng)
+        staggered = stagger(p)
         for mask in range(2 ** p.num_x):
             x = [(mask >> i) & 1 for i in range(p.num_x)]
-            assert bp_count_fast(p, x) == bp_count_acc(p, x)
+            assert bp_count_fast(p, x) == bp_count_fast(staggered, x) == bp_count_acc(p, x)
 
 
-def test_count_fast_requires_certificate():
-    # The second program is certified and deterministic but reads y_1 twice.
+def test_count_fast_requires_increasing_reads():
+    # No band certificate is asked for: every path of this program reads y
+    # in increasing order, so it is counted as it is.
+    p = branching_uncertified_program()
+    assert isinstance(check_read_once_certified(p), Refusal)
+    for x in ([0], [1]):
+        assert bp_count_fast(p, x) == bp_count_acc(p, x) == 4
+    # Certified and deterministic, but reads y_1 twice.
     read_twice = validate_bp(
         [[0], [1], [2]],
         {0: ("y", 1), 1: ("y", 1)},
@@ -281,10 +290,25 @@ def test_count_fast_requires_certificate():
         0,
         2,
     )
-    for p, x in ((branching_uncertified_program(), [0]), (read_twice, [])):
+    # Deterministic, but reads y_2 before y_1.
+    decreasing = validate_bp(
+        [[0], [1], [2]],
+        {0: ("y", 2), 1: ("y", 1)},
+        [(0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1)],
+        0,
+        2,
+        0,
+        2,
+    )
+    # Ordered but not deterministic: x_1 = 0 leaves the root on both edges.
+    two_edges = validate_bp(p.layers, dict(p.labels), [*p.edges, (0, 2, 0)], 1, 2,
+                            p.source, p.sink)
+    for q, code in ((read_twice, "precondition-violated"),
+                    (decreasing, "precondition-violated"),
+                    (two_edges, "not-deterministic")):
         with pytest.raises(CountingError) as err:
-            bp_count_fast(p, x)
-        assert err.value.code == "precondition-violated"
+            bp_count_fast(q, [0] * q.num_x)
+        assert err.value.code == code
 
 
 def random_layered_program(rng, banded):
@@ -361,12 +385,9 @@ def test_read_order_checks_match_path_enumeration():
             assert isinstance(check_read_once_certified(staggered), ReadOnceCertificate)
             for x in itertools.product((0, 1), repeat=p.num_x):
                 assert bp_count_fast(staggered, x) == bp_count_acc(p, x)
-        if isinstance(
-            check_read_once_certified(p), ReadOnceCertificate
-        ) and is_deterministic_given_inputs(p):
-            read_twice = any(len(reads) != len(set(reads)) for reads in paths)
+        if is_deterministic_given_inputs(p):
             code = refusal_code(bp_count_fast, p, [0] * p.num_x)
-            assert code == ("precondition-violated" if read_twice else None)
+            assert code == ("precondition-violated" if out_of_order else None)
             seen["fast"].add(code)
             if code is None:
                 for x in itertools.product((0, 1), repeat=p.num_x):

@@ -9,11 +9,11 @@ from paracount.homs import (
     count_hom_oracle,
     count_hom_path_star,
     enumerate_homs,
-    hom_walk_correspondence,
     is_homomorphism,
     make_path_star,
     path_star_vocabulary,
 )
+from paracount.oracles import hom_walk_correspondence
 from paracount.selftest import rand_path_star_target
 
 

@@ -182,4 +182,4 @@ def ordered_program(draw):
 def test_fast_count_of_staggered_program_matches_enumeration(p):
     staggered = stagger(p)
     for x in itertools.product((0, 1), repeat=p.num_x):
-        assert bp_count_fast(staggered, x) == bp_count_acc(p, x)
+        assert bp_count_fast(p, x) == bp_count_fast(staggered, x) == bp_count_acc(p, x)
