@@ -29,37 +29,25 @@ _EXPORTS = {
     ),
     "cnf": ("EdgeCNF", "count_log_reach2_cnf", "eval_cnf"),
     "structures": ("RelationalStructure", "Vocabulary"),
-    "fo": (
-        "QFFormula",
-        "count_mc",
-        "count_mc_local",
-        "formula_size",
-        "locality_radius",
-        "max_arity",
-    ),
+    "fo": ("count_mc",),
     "homs": ("count_hom_oracle", "count_hom_path_star", "is_homomorphism", "make_path_star"),
     "pdet": ("ZeroOneMatrix", "pdet_clow", "pdet_direct"),
-    "bp": (
-        "BranchingProgram",
-        "bp_accepts",
-        "bp_count_acc",
-        "bp_count_fast",
-        "check_read_once_certified",
-        "stagger",
-        "validate_bp",
-    ),
-    "reductions": (
-        "ReductionRecord",
-        "reduce_hom_to_reach",
-        "reduce_reach_colour_to_hom",
-        "reduce_reach_to_mc",
-        "reduce_reach_to_pdet",
-        "verify_parsimonious",
-    ),
+    "bp": ("bp_accepts", "bp_count_acc", "bp_count_fast"),
+    "reductions": ("ReductionRecord", "verify_parsimonious"),
 }
 
 # Names the package re-exports from submodules it does not export by name.
 _ALSO = {
+    "formulas": ("QFFormula", "formula_size", "locality_radius", "max_arity"),
+    "sweep": ("count_mc_local",),
+    "programs": ("BranchingProgram", "validate_bp"),
+    "readonce": ("check_read_once_certified", "stagger"),
+    "transforms": (
+        "reduce_hom_to_reach",
+        "reduce_reach_colour_to_hom",
+        "reduce_reach_to_mc",
+        "reduce_reach_to_pdet",
+    ),
     "covers": ("count_cycle_cover2_cnf",),
     "oracles": (
         "ClowSequence",

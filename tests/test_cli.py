@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -801,7 +802,8 @@ def test_reach_process_loads_only_the_walk_modules(tmp_path):
     refused, after_refusal, counted, loaded = json.loads(modules)
     assert (refused, counted, json.loads(report)["count"]) == (1, 0, "2")
     assert "hashlib" not in after_refusal  # only a report needs the digest
-    unused = {"fo", "bp", "pdet", "cnf", "homs", "reductions", "selftest"}
+    unused = {"fo", "formulas", "sweep", "bp", "programs", "readonce", "pdet", "cnf", "homs",
+              "reductions", "transforms", "selftest"}
     assert not {f"paracount.{name}" for name in unused} & set(loaded)
     assert "paracount.walks" in loaded
 
@@ -958,10 +960,14 @@ def test_counting_processes_do_not_load_openssl(tmp_path):
     assert not {"hashlib", "_hashlib"} & loaded
 
 
+PROGRAM_MODULES = {"bp", "programs", "readonce"}
+FORMULA_MODULES = {"fo", "formulas", "sweep"}
+
+
 @pytest.mark.parametrize("command, unused", [
-    ("pdet", {"graphs"}),
-    ("mc", {"graphs"}),  # with --local
-    ("bp", {"graphs", "walks"}),  # with --method fast
+    ("pdet", {"graphs", *PROGRAM_MODULES, *FORMULA_MODULES}),
+    ("mc", {"graphs", *PROGRAM_MODULES}),  # with --local
+    ("bp", {"graphs", "walks", *FORMULA_MODULES}),  # with --method fast
 ])
 def test_pdet_mc_and_bp_processes_do_not_load_graphs(tmp_path, command, unused):
     codes, loaded = loaded_by([every_subcommand(tmp_path)[command]])
@@ -970,8 +976,8 @@ def test_pdet_mc_and_bp_processes_do_not_load_graphs(tmp_path, command, unused):
 
 
 @pytest.mark.parametrize("command, used, unused", [
-    ("hom", {"homs", "structures"}, {"fo"}),
-    ("mc", {"fo", "structures"}, set()),  # with --local
+    ("hom", {"homs", "structures"}, FORMULA_MODULES),
+    ("mc", {*FORMULA_MODULES, "structures"}, set()),  # with --local
     ("reduce", {"reductions", "structures"}, set()),  # hom-to-reach
 ])
 def test_hom_process_does_not_load_fo(tmp_path, command, used, unused):
@@ -982,8 +988,9 @@ def test_hom_process_does_not_load_fo(tmp_path, command, used, unused):
 
 
 #: Reduction -> the counting modules that its record never uses.
-REDUCE_UNUSED = {"hom-to-reach": {"fo", "pdet"}, "reach-to-mc": {"homs", "pdet"},
-                 "reach-to-pdet": {"fo", "homs"}, "reachcolour-to-hom": {"fo", "pdet"}}
+REDUCE_UNUSED = {"hom-to-reach": {*FORMULA_MODULES, "pdet"}, "reach-to-mc": {"homs", "pdet"},
+                 "reach-to-pdet": {*FORMULA_MODULES, "homs"},
+                 "reachcolour-to-hom": {*FORMULA_MODULES, "pdet"}}
 
 
 @pytest.mark.parametrize("name", [*(c for c in COMMANDS if c != "reduce"),
@@ -1003,6 +1010,25 @@ def test_a_process_compiles_only_its_own_command_module(tmp_path, name):
         assert {"paracount.covers", "paracount.cnf"} <= loaded
     if argv[0] == "reduce":
         assert not {f"paracount.{m}" for m in REDUCE_UNUSED[argv[2]]} & loaded
+
+
+#: The most AST nodes (by `ast.walk`) of a module that a counting process loads: a
+#: process compiles its modules from source when it writes no bytecode, and its
+#: max-RSS follows the largest one it compiles (README, "Start-up").
+MAX_MODULE_NODES = 1500
+
+
+def test_no_counting_process_loads_a_module_over_the_node_bound(tmp_path):
+    runs = {name: argv for name, argv in every_subcommand(tmp_path, each_reduction=True).items()
+            if argv[0] != "selftest"}
+    codes, loaded = loaded_by(list(runs.values()))
+    assert codes == [0] * len(runs)
+    sizes = {}
+    for name in sorted(m for m in loaded if m == "paracount" or m.startswith("paracount.")):
+        source = Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8")
+        sizes[name] = sum(1 for _ in ast.walk(ast.parse(source)))
+    assert {"paracount.fo", "paracount.bp", "paracount.reductions"} <= sizes.keys()
+    assert {name: n for name, n in sizes.items() if n > MAX_MODULE_NODES} == {}
 
 
 def test_help_and_usage_errors_load_no_command_module():

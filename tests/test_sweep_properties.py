@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paracount import fo
+from paracount import sweep
 from paracount.bp import bp_count_acc, bp_count_fast, stagger, validate_bp
 from paracount.fo import (
     Atom,
@@ -77,7 +77,7 @@ def sweep_with_live_bound(phi, structure, k):
         return propagate(start, steps, recorded)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fo, "propagate", spy)
+        patch.setattr(sweep, "propagate", spy)
         count = count_mc_local(phi, structure, k, r, max_arity(phi))
     assert live and max(live) <= bound
     return count
@@ -129,7 +129,7 @@ def test_formula_decided_by_its_first_atom_counts_every_assignment():
         return propagate(start, steps, recorded)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fo, "propagate", spy)
+        patch.setattr(sweep, "propagate", spy)
         count = count_mc_local(phi, structure, phi.size, locality_radius(phi), 2)
     assert count == count_mc(phi, structure, phi.size) == 4 ** 3
     assert stepped[1:] == [(1, (), True), (2, (), True)]
