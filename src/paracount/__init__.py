@@ -68,6 +68,22 @@ _SOURCE.update((name, module) for module, names in _ALSO.items() for name in nam
 __all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
 
+#: Old module -> {name: the module that defines it now}.  These names moved out
+#: of the old module, but the benchmark (`perfbench`) still reads them there, so
+#: the old module's ``__getattr__`` resolves them through `_moved`, loading the
+#: defining module on first use.  Every other caller imports a name from the
+#: module that defines it.
+_MOVED = {
+    "fo": {"count_mc_local": "sweep", "locality_radius": "formulas", "max_arity": "formulas",
+           "structure_from_json": "structures", "structure_to_json": "structures"},
+    "bp": {"bp_from_json": "programs", "validate_bp": "programs",
+           "check_read_once_certified": "readonce", "stagger": "readonce"},
+    "pdet": {"eta": "oracles"},
+    "graphs": {"enumerate_walks": "oracles", "walk_count_matrix": "oracles"},
+    "cnf": {"count_cycle_cover2_cnf": "covers", "characteristic_assignment": "oracles",
+            "cover_cycles": "oracles", "enumerate_cycle_covers": "oracles"},
+}
+
 
 def __getattr__(name: str):
     module = _SOURCE.get(name)
@@ -75,6 +91,19 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     loaded = importlib.import_module(f".{module}", __name__)
     return loaded if name == module else getattr(loaded, name)
+
+
+def _moved(module: str, name: str):
+    """The `_MOVED` entry ``name`` of ``paracount.<module>``, read from its defining module.
+
+    Read there at each call and never cached on the old module: the
+    benchmark's tracer rebinds a function, by identity, in every module that
+    binds it and restores it afterwards, and a copy cached while traced
+    would escape the restore."""
+    home = _MOVED.get(module.rpartition(".")[2], {}).get(name)
+    if home is None:
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{home}", __name__), name)
 
 
 def __dir__() -> list[str]:

@@ -16,11 +16,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import DEFAULT_LIMIT, CountingError, check_limit
-# The program record, its file format and the read-order checks, bound here too for
-# the callers and the benchmark's spans that look them up on `bp`.
-from .programs import BranchingProgram, Label, bp_from_json, bp_to_json, validate_bp
-from .readonce import (ReadOnceCertificate, Refusal, _check_increasing_reads,
-                       _occurrence_layers, _relevant_nodes, check_read_once_certified, stagger)
+
+# `BranchingProgram` and `Label` appear only in annotations, never evaluated;
+# `bp_count_fast` imports the read-order check itself, so `bp --method acc` and
+# `bp --y` compile no `readonce`.
 
 
 def is_deterministic_given_inputs(p: BranchingProgram) -> bool:
@@ -114,6 +113,8 @@ def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
         raise CountingError(
             "not-deterministic", "a node offers two edges for one bit value"
         )
+    from .readonce import _check_increasing_reads
+
     upto = _check_increasing_reads(p, "precondition-violated")
 
     out = p.out_edges()
@@ -126,3 +127,8 @@ def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
             if v in counts and (label[0] != "x" or x[label[1] - 1] == bit):
                 counts[v] += share
     return counts.get(p.sink, 0)
+
+
+def __getattr__(name: str):  # a name moved out of this module (`paracount._MOVED`)
+    from . import _moved
+    return _moved(__name__, name)

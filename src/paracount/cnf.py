@@ -168,16 +168,6 @@ def _successor_choices(g: DirectedGraph) -> list[list[tuple[int, int]]]:
     return out
 
 
-#: Names that moved to `covers` (the cycle-cover count) and `oracles` (the
-#: cover enumerator) still resolve here (PEP 562), loading that module on
-#: first use, so a `reach2cnf` process compiles neither; the benchmark's
-#: spans and references look them up here.
-_MOVED = {"count_cycle_cover2_cnf": "covers", "characteristic_assignment": "oracles",
-          "cover_cycles": "oracles", "enumerate_cycle_covers": "oracles"}
-
-
-def __getattr__(name: str):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    return getattr(importlib.import_module(f".{_MOVED[name]}", __package__), name)
+def __getattr__(name: str):  # a name moved out of this module (`paracount._MOVED`)
+    from . import _moved
+    return _moved(__name__, name)

@@ -23,7 +23,9 @@ def _parse_bits(text: str, width: int, what: str) -> list[int]:
 
 
 def run(bpm, args):
-    program = bpm.bp_from_json(_load_json(args, "program"))
+    from .. import programs
+
+    program = programs.bp_from_json(_load_json(args, "program"))
     x = _parse_bits(args.x, program.num_x, "--x")
     if args.y is not None:
         y = _parse_bits(args.y, program.num_y, "--y")

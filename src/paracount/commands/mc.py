@@ -15,14 +15,18 @@ OPTIONS = {"mc": (
 
 
 def run(fom, args):
+    from .. import structures
+
     try:  # reading and formula_node_from_json may raise RecursionError
         phi = fom.formula_from_json(_load_json(args, "formula"))
     except RecursionError:
         raise CountingError("formula-too-deep", f"{args.formula} nests too deeply to read")
-    structure = fom.structure_from_json(_load_json(args, "structure"))
-    if args.local:
-        r = args.r if args.r is not None else fom.locality_radius(phi)
-        count = fom.count_mc_local(phi, structure, args.k, r, fom.max_arity(phi))
+    structure = structures.structure_from_json(_load_json(args, "structure"))
+    if args.local:  # a brute-force run compiles neither `sweep` nor `walks`
+        from .. import formulas, sweep
+
+        r = args.r if args.r is not None else formulas.locality_radius(phi)
+        count = sweep.count_mc_local(phi, structure, args.k, r, formulas.max_arity(phi))
     else:
         count = fom.count_mc(phi, structure, args.k, args.limit)
     _report(args, count, args.k != phi.size)

@@ -3,9 +3,8 @@
 A formula's assignments are tuples over its free variables, ordered by
 first occurrence (``formulas``).  This module holds the brute-force count,
 an enumeration over all tuples with its own evaluation, which is the
-reference oracle for the locality sweep of ``sweep``, and it binds the
-syntax, the measures and the sweep under their old names, so ``fo`` still
-exposes the whole formula family.
+reference oracle for the locality sweep of ``sweep``.  The syntax and the
+measures live in ``formulas``, the structures in ``structures``.
 """
 from __future__ import annotations
 
@@ -13,14 +12,11 @@ import itertools
 from collections.abc import Mapping
 
 from .errors import DEFAULT_LIMIT, CountingError, check_limit, read_array, read_fields, read_name
-# The syntax, the measures, the structures and the sweep, bound here too for the
-# callers and the benchmark's spans that look them up on `fo`.
-from .formulas import (_CONNECTIVES, Atom, Connective, ConstRef, Eq, Node, QFFormula, Term, Var,
-                       _atom_terms, _Path, _term_value, atom_variables, check_signature,
-                       eval_atom, formula_size, locality_radius, max_arity)
-from .structures import (RelationalStructure, Vocabulary, structure_from_json,
-                         structure_to_json)
-from .sweep import _feed, _opened, count_mc_local
+from .formulas import (Atom, Connective, ConstRef, Eq, Node, QFFormula, Term, Var,
+                       check_signature, eval_atom)
+
+# `RelationalStructure` appears only in annotations, never evaluated.  No import
+# of `sweep` here: a brute-force `mc` process compiles neither it nor `walks`.
 
 
 # ---------------------------------------------------------------------------
@@ -155,3 +151,8 @@ def formula_node_to_json(node: Node) -> dict:
     if isinstance(node, Atom):
         return {"atom": node.relation, "args": [term_to_json(t) for t in node.args]}
     return {"eq": [term_to_json(node.left), term_to_json(node.right)]}
+
+
+def __getattr__(name: str):  # a name moved out of this module (`paracount._MOVED`)
+    from . import _moved
+    return _moved(__name__, name)

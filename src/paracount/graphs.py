@@ -8,7 +8,6 @@ are plain Python ints, so they are exact at any magnitude.
 from __future__ import annotations
 
 from .errors import CountingError, Record, read_array, read_fields, read_int
-from .walks import max_out_degree  # kept importable from here
 
 
 class DirectedGraph(Record):
@@ -118,14 +117,6 @@ def graph_to_json(g: DirectedGraph, **extra) -> dict:
     return obj
 
 
-#: The walk oracles and `cycles_of`, defined in `oracles`, still resolve here
-#: (PEP 562), loading that module on first use, so no counting process compiles
-#: them; the benchmark's spans and references look the walk oracles up here.
-_ORACLES = frozenset({"cycles_of", "enumerate_walks", "walk_count_matrix"})
-
-
-def __getattr__(name: str):
-    if name not in _ORACLES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracles
-    return getattr(oracles, name)
+def __getattr__(name: str):  # a name moved out of this module (`paracount._MOVED`)
+    from . import _moved
+    return _moved(__name__, name)

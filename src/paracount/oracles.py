@@ -5,8 +5,10 @@ k-clow-sequence enumerator with the sign-reversing involution ``eta``, and
 the cofactor determinant.
 
 Only the self-test battery, the tests and the benchmark references call
-them, so no counting process compiles this module; ``pdet``, ``graphs`` and
-``cnf`` still resolve the names they used to define, loading it on first use.
+them, so no counting process compiles this module.  The names that
+``pdet``, ``graphs`` and ``cnf`` used to define are listed in
+``paracount._MOVED``, so those modules still resolve them for the benchmark,
+loading this one on first use.
 """
 from __future__ import annotations
 

@@ -158,16 +158,6 @@ def matrix_to_json(a: ZeroOneMatrix) -> dict:
     return {"n": a.n, "rows": [list(r) for r in a.rows]}
 
 
-#: Names defined in `oracles` that still resolve here (PEP 562), loading that
-#: module on first use, so no counting process compiles it; the benchmark's
-#: spans look them up here.
-_ORACLES = frozenset({"Clow", "ClowSequence", "clow_sign", "det_cross_check",
-                      "determinant_cofactor", "enumerate_k_clow_sequences", "eta",
-                      "validate_k_clow_sequence"})
-
-
-def __getattr__(name: str):
-    if name not in _ORACLES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracles
-    return getattr(oracles, name)
+def __getattr__(name: str):  # a name moved out of this module (`paracount._MOVED`)
+    from . import _moved
+    return _moved(__name__, name)

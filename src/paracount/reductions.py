@@ -13,9 +13,8 @@ from collections.abc import Callable, Sequence
 from .errors import CountingError, Record, read_fields, read_int
 from .graphs import graph_from_json, graph_to_json
 from .structures import structure_from_json, structure_to_json
-# The transforms, bound here too for the records and the benchmark's spans.
-from .transforms import (reach_formula, reduce_hom_to_reach, reduce_reach_colour_to_hom,
-                         reduce_reach_to_mc, reduce_reach_to_pdet)
+from .transforms import (reduce_hom_to_reach, reduce_reach_colour_to_hom, reduce_reach_to_mc,
+                         reduce_reach_to_pdet)
 
 # The writers import `fo` and `pdet` themselves, so `reduce` compiles only
 # its record's modules.

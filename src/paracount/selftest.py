@@ -6,8 +6,8 @@ instances: walk counters against walk enumeration, CNF counters against
 enumerate-then-filter, the locality sweep against brute-force assignment
 counting, the layered homomorphism count against map enumeration, the
 clow expansion against the direct definition (plus the involution that
-proves they agree), branching-program band counting against y-enumeration,
-and every reduction against both of its end points.
+proves they agree), the read-once branching-program count against
+y-enumeration, and every reduction against both of its end points.
 
 All randomness flows from one seed, so failures reproduce exactly.
 """
@@ -26,9 +26,14 @@ from . import pdet as pdm
 from . import reductions as redm
 from . import walks as wkm
 from .errors import Record
+from .formulas import Atom, Connective, Eq, Node, QFFormula, Var, locality_radius, max_arity
 from .graphs import DirectedGraph, VertexColouring
 from .oracles import enumerate_walks
+from .programs import BranchingProgram, Label, validate_bp
+from .readonce import ReadOnceCertificate, check_read_once_certified, stagger
 from .structures import RelationalStructure, Vocabulary
+from .sweep import count_mc_local
+from .transforms import reduce_reach_to_mc, reduce_reach_to_pdet
 
 
 class Scale(Record):
@@ -119,7 +124,7 @@ def rand_edge_cnf(rng: random.Random, g: DirectedGraph) -> cnfm.EdgeCNF:
 
 def rand_local_formula(
     rng: random.Random, r: int, max_vars: int = 4
-) -> fom.QFFormula:
+) -> QFFormula:
     """A random formula whose locality radius is at most r, arity <= 2."""
     num_atoms = rng.randint(1, 6)
     atoms: list = []
@@ -141,15 +146,15 @@ def rand_local_formula(
             break  # every name is bound and out of its locality window
         kind = rng.random()
         if kind < 0.5:
-            atom = fom.Atom("E", (fom.Var(pick_var(idx)), fom.Var(pick_var(idx))))
+            atom = Atom("E", (Var(pick_var(idx)), Var(pick_var(idx))))
         elif kind < 0.8:
-            atom = fom.Atom("P", (fom.Var(pick_var(idx)),))
+            atom = Atom("P", (Var(pick_var(idx)),))
         else:
-            atom = fom.Eq(fom.Var(pick_var(idx)), fom.Var(pick_var(idx)))
+            atom = Eq(Var(pick_var(idx)), Var(pick_var(idx)))
         atoms.append(atom)
 
-    def build(seq: list) -> fom.Node:
-        node: fom.Node
+    def build(seq: list) -> Node:
+        node: Node
         if len(seq) == 1:
             node = seq[0]
         else:
@@ -160,12 +165,12 @@ def rand_local_formula(
             for c in cuts + [len(seq)]:
                 chunks.append(seq[prev:c])
                 prev = c
-            node = fom.Connective(rng.choice(["and", "or"]), tuple(build(c) for c in chunks))
+            node = Connective(rng.choice(["and", "or"]), tuple(build(c) for c in chunks))
         if rng.random() < 0.25:
-            node = fom.Connective("not", (node,))
+            node = Connective("not", (node,))
         return node
 
-    return fom.QFFormula(build(atoms))
+    return QFFormula(build(atoms))
 
 
 def rand_structure(rng: random.Random, max_universe: int = 5) -> RelationalStructure:
@@ -228,7 +233,7 @@ def rand_coloured_instance(
     return vc, s, t, k
 
 
-def rand_ordered_bp(rng: random.Random) -> bpm.BranchingProgram:
+def rand_ordered_bp(rng: random.Random) -> BranchingProgram:
     """Random program whose paths read y variables in order, once each.
 
     Built as one or two disjoint branch chains behind an x-labelled root,
@@ -244,7 +249,7 @@ def rand_ordered_bp(rng: random.Random) -> bpm.BranchingProgram:
         next_id += 1
         return next_id - 1
 
-    labels: dict[int, bpm.Label] = {}
+    labels: dict[int, Label] = {}
     edges: list[tuple[int, int, int | None]] = []
     placements: list[tuple[int, int]] = []  # (node, chain position, 1-based)
 
@@ -296,7 +301,7 @@ def rand_ordered_bp(rng: random.Random) -> bpm.BranchingProgram:
     layers: list[list[int]] = [[] for _ in range(top + 1)]
     for node, layer in sorted(depth.items()):
         layers[layer].append(node)
-    return bpm.validate_bp(layers, labels, edges, num_x, num_y, root, sink)
+    return validate_bp(layers, labels, edges, num_x, num_y, root, sink)
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +310,8 @@ def rand_ordered_bp(rng: random.Random) -> bpm.BranchingProgram:
 
 
 def all_walks(g: DirectedGraph, a: int) -> list[tuple[int, ...]]:
-    """Every a-edge walk regardless of endpoints (independent enumeration)."""
-    succ = g.successors()
-    walks: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int) -> None:
-        if remaining == 0:
-            walks.append(tuple(prefix))
-            return
-        for v in succ[prefix[-1]]:
-            prefix.append(v)
-            rec(prefix, remaining - 1)
-            prefix.pop()
-
-    for start in range(g.n):
-        rec([start], a)
-    return walks
+    """Every a-edge walk regardless of endpoints, by the walk oracle."""
+    return [w for s in range(g.n) for t in range(g.n) for w in enumerate_walks(g, s, t, a)]
 
 
 def st_walks(inst: tuple[DirectedGraph, int, int, int]) -> int:
@@ -426,7 +417,7 @@ def check_backedge_identity(rng: random.Random, scale: Scale) -> list[str]:
         g = rand_dag(rng, 6)
         s, t = rng.sample(range(g.n), 2)
         k = rng.randint(1, min(5, g.n))
-        matrix, k_out, sign = redm.reduce_reach_to_pdet(g, s, t, k)
+        matrix, k_out, sign = reduce_reach_to_pdet(g, s, t, k)
         left = pdm.pdet_direct(matrix, k_out)
         right = sign * wkm.count_reach(g, s, t, k)
         if left != right:
@@ -566,8 +557,8 @@ def check_mc_local(rng: random.Random, scale: Scale) -> list[str]:
         structure = rand_structure(rng)
         k = phi.size if rng.random() < 0.8 else phi.size + 1
         brute = fom.count_mc(phi, structure, k)
-        swept = fom.count_mc_local(
-            phi, structure, k, max(r, fom.locality_radius(phi)), 2
+        swept = count_mc_local(
+            phi, structure, k, max(r, locality_radius(phi)), 2
         )
         if brute != swept:
             failures.append(
@@ -581,7 +572,7 @@ def check_mc_local(rng: random.Random, scale: Scale) -> list[str]:
             v: rng.randrange(structure.universe_size) for v in phi.free_variables
         }
         if fom.evaluate(phi.root, assignment, structure) == fom.evaluate(
-            fom.Connective("not", (phi.root,)), assignment, structure
+            Connective("not", (phi.root,)), assignment, structure
         ):
             failures.append(f"trial {trial}: phi and not phi agree")
     # The walk formula exercises the r-local fragment with constants.
@@ -592,8 +583,8 @@ def check_mc_local(rng: random.Random, scale: Scale) -> list[str]:
         s = rng.randrange(g.n)
         t = rng.randrange(g.n)
         k = rng.randint(2, 4)
-        phi, structure, kp = redm.reduce_reach_to_mc(g, s, t, k)
-        if fom.count_mc(phi, structure, kp) != fom.count_mc_local(
+        phi, structure, kp = reduce_reach_to_mc(g, s, t, k)
+        if fom.count_mc(phi, structure, kp) != count_mc_local(
             phi, structure, kp, 1, 2
         ):
             failures.append(f"walk formula trial {trial}: local sweep mismatch")
@@ -665,8 +656,8 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
     )
     failures += [f"reach-to-mc: {row}" for row in report.failures()]
     for inst in mc_instances[: max(1, count // 5)]:
-        phi, _, _ = redm.reduce_reach_to_mc(*inst)
-        if fom.locality_radius(phi) != 1 or fom.max_arity(phi) != 2:
+        phi, _, _ = reduce_reach_to_mc(*inst)
+        if locality_radius(phi) != 1 or max_arity(phi) != 2:
             failures.append("reach-to-mc emitted a non-1-local or non-binary formula")
 
     pdet_instances = []
@@ -705,9 +696,9 @@ def check_bp(rng: random.Random, scale: Scale) -> list[str]:
     failures = []
     for trial in range(scale.bp_programs):
         p = rand_ordered_bp(rng)
-        staggered = bpm.stagger(p)
+        staggered = stagger(p)
         if not isinstance(
-            bpm.check_read_once_certified(staggered), bpm.ReadOnceCertificate
+            check_read_once_certified(staggered), ReadOnceCertificate
         ):
             failures.append(f"trial {trial}: stagger output not certified")
             continue

@@ -1,7 +1,7 @@
 """The unconstrained walk counters, each with its output gate, and the one
 frontier propagation that every walk counter (here and in ``cnf``) runs;
 ``pdet`` runs it too, over the configurations of the clow machines, and
-``fo`` over the states of the locality sweep.
+``sweep`` over the states of the locality sweep.
 
 Length conventions (fixed once, used consistently by every reduction):
 
@@ -21,7 +21,7 @@ from collections.abc import Callable
 from .errors import CountingError
 
 # `DirectedGraph` and `VertexColouring` appear only in annotations, which are
-# never evaluated: `graphs` is not imported, since `pdet` and `fo` load this
+# never evaluated: `graphs` is not imported, since `pdet` and `sweep` load this
 # module for `propagate` alone.
 
 

@@ -3,20 +3,10 @@ import random
 
 import pytest
 
-from paracount.bp import (
-    ReadOnceCertificate,
-    Refusal,
-    bp_accepts,
-    bp_count_acc,
-    bp_count_fast,
-    bp_from_json,
-    bp_to_json,
-    check_read_once_certified,
-    is_deterministic_given_inputs,
-    stagger,
-    validate_bp,
-)
+from paracount.bp import bp_accepts, bp_count_acc, bp_count_fast, is_deterministic_given_inputs
 from paracount.errors import CountingError, LimitExceeded
+from paracount.programs import bp_from_json, bp_to_json, validate_bp
+from paracount.readonce import ReadOnceCertificate, Refusal, check_read_once_certified, stagger
 from paracount.selftest import rand_ordered_bp
 from paracount.walks import log_gate_passes
 

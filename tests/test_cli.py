@@ -975,6 +975,41 @@ def test_pdet_mc_and_bp_processes_do_not_load_graphs(tmp_path, command, unused):
     assert not {f"paracount.{name}" for name in unused} & loaded
 
 
+#: A route of `every_subcommand`'s `mc` or `bp` run, by an edit of its command
+#: line, and the modules that only the other route of that subcommand uses.
+ROUTE_MODULES = [
+    ("mc", lambda argv: [arg for arg in argv if arg != "--local"], {"sweep", "walks"}),
+    ("bp", lambda argv: [*argv[:-1], "acc"], {"readonce"}),  # --method acc
+    ("bp", lambda argv: [*argv[:-2], "--y", ""], {"readonce"}),  # acceptance; numY = 0
+]
+
+
+@pytest.mark.parametrize("command, edit, unused", ROUTE_MODULES, ids=["mc", "bp-acc", "bp-y"])
+def test_only_the_sweep_and_the_fast_count_load_their_modules(tmp_path, command, edit, unused):
+    codes, loaded = loaded_by([edit(every_subcommand(tmp_path)[command])])
+    assert codes == [0] and f"paracount.{COMMANDS[command][2]}" in loaded
+    assert not {f"paracount.{name}" for name in unused} & loaded
+
+
+def test_no_command_resolves_a_name_through_the_moved_table(tmp_path, capsys, monkeypatch):
+    # `paracount._MOVED` serves the benchmark alone: the CLI and the self-test
+    # battery import every name from its defining module.
+    resolved = []
+
+    def spy(module, name):
+        value = moved(module, name)  # the import system probes `__path__` here too
+        resolved.append(f"{module}.{name}")
+        return value
+
+    moved = paracount._moved
+    monkeypatch.setattr(paracount, "_moved", spy)
+    named = every_subcommand(tmp_path, each_reduction=True)  # selftest at smoke scale
+    runs = [*named.values(), *(edit(named[command]) for command, edit, _ in ROUTE_MODULES)]
+    codes = [main(argv) for argv in runs]
+    capsys.readouterr()
+    assert codes == [0] * len(runs) and resolved == []
+
+
 @pytest.mark.parametrize("command, used, unused", [
     ("hom", {"homs", "structures"}, FORMULA_MODULES),
     ("mc", {*FORMULA_MODULES, "structures"}, set()),  # with --local

@@ -6,13 +6,12 @@ from paracount.errors import CountingError, LimitExceeded
 from paracount.graphs import (
     DirectedGraph,
     VertexColouring,
-    enumerate_walks,
     graph_from_json,
     graph_to_json,
-    max_out_degree,
     validate_graph,
-    walk_count_matrix,
 )
+from paracount.oracles import enumerate_walks, walk_count_matrix
+from paracount.walks import max_out_degree
 
 DIAMOND = validate_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 PATH3 = validate_graph(3, [(0, 1), (1, 2)])

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from paracount.errors import CountingError
-from paracount.fo import RelationalStructure, Vocabulary
 from paracount.homs import (
     build_layered_reach_graph,
     count_hom_oracle,
@@ -15,6 +14,7 @@ from paracount.homs import (
 )
 from paracount.oracles import hom_walk_correspondence
 from paracount.selftest import rand_path_star_target
+from paracount.structures import RelationalStructure, Vocabulary
 
 
 def test_make_path_star_smallest():

@@ -4,16 +4,18 @@ import random
 import pytest
 
 from paracount.errors import DEFAULT_LIMIT, CountingError, LimitExceeded
-from paracount.pdet import (
+from paracount.oracles import (
     Clow,
     ClowSequence,
-    ZeroOneMatrix,
-    clow_parity_counts,
     clow_sign,
     det_cross_check,
     determinant_cofactor,
     enumerate_k_clow_sequences,
     eta,
+)
+from paracount.pdet import (
+    ZeroOneMatrix,
+    clow_parity_counts,
     matrix_from_json,
     matrix_to_json,
     pdet_clow,

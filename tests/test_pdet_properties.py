@@ -8,15 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paracount.errors import LimitExceeded
-from paracount.graphs import cycles_of
-from paracount.pdet import (
-    ZeroOneMatrix,
-    clow_parity_counts,
-    clow_sign,
-    enumerate_k_clow_sequences,
-    pdet_clow,
-    pdet_direct,
-)
+from paracount.oracles import clow_sign, cycles_of, enumerate_k_clow_sequences
+from paracount.pdet import ZeroOneMatrix, clow_parity_counts, pdet_clow, pdet_direct
 
 
 @st.composite

@@ -5,13 +5,14 @@ import pickle
 
 import pytest
 
-from paracount.bp import validate_bp
 from paracount.errors import CountingError
-from paracount.fo import Atom, ConstRef, Var, Vocabulary
+from paracount.formulas import Atom, ConstRef, Var
 from paracount.graphs import DirectedGraph, VertexColouring
-from paracount.pdet import Clow
+from paracount.oracles import Clow
+from paracount.programs import validate_bp
 from paracount.reductions import ReductionRecord
 from paracount.selftest import SMOKE, Scale
+from paracount.structures import Vocabulary
 
 
 def program(*, edge_order=1):

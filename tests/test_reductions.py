@@ -3,19 +3,20 @@ import random
 import pytest
 
 from paracount.errors import CountingError
-from paracount.fo import count_mc, locality_radius, max_arity
-from paracount.graphs import DirectedGraph, VertexColouring, enumerate_walks, validate_graph
+from paracount.fo import count_mc
+from paracount.formulas import locality_radius, max_arity
+from paracount.graphs import DirectedGraph, VertexColouring, validate_graph
 from paracount.homs import count_hom_oracle, make_path_star
+from paracount.oracles import enumerate_walks
 from paracount.pdet import pdet_direct
-from paracount.reductions import (
+from paracount.reductions import standard_records, verify_parsimonious
+from paracount.selftest import rand_coloured_instance, rand_dag, rand_graph, rand_path_star_target
+from paracount.transforms import (
     reduce_hom_to_reach,
     reduce_reach_colour_to_hom,
     reduce_reach_to_mc,
     reduce_reach_to_pdet,
-    standard_records,
-    verify_parsimonious,
 )
-from paracount.selftest import rand_coloured_instance, rand_dag, rand_graph, rand_path_star_target
 from paracount.walks import count_reach, count_reach_colour
 
 DIAMOND = validate_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -33,8 +34,8 @@ def test_hom_to_reach_smallest():
 
 
 def test_hom_to_reach_empty_colour_class():
-    from paracount.fo import RelationalStructure
     from paracount.homs import path_star_vocabulary
+    from paracount.structures import RelationalStructure
 
     b = RelationalStructure(
         path_star_vocabulary(2),

@@ -9,24 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paracount import sweep
-from paracount.bp import bp_count_acc, bp_count_fast, stagger, validate_bp
-from paracount.fo import (
-    Atom,
-    Connective,
-    ConstRef,
-    Eq,
-    QFFormula,
-    RelationalStructure,
-    Var,
-    Vocabulary,
-    atom_variables,
-    count_mc,
-    count_mc_local,
-    locality_radius,
-    max_arity,
-)
-from paracount.reductions import reduce_reach_to_mc
+from paracount.bp import bp_count_acc, bp_count_fast
+from paracount.fo import count_mc
+from paracount.formulas import (Atom, Connective, ConstRef, Eq, QFFormula, Var, atom_variables,
+                                locality_radius, max_arity)
+from paracount.programs import validate_bp
+from paracount.readonce import stagger
 from paracount.selftest import rand_graph, rand_local_formula, rand_structure
+from paracount.structures import RelationalStructure, Vocabulary
+from paracount.sweep import count_mc_local
+from paracount.transforms import reduce_reach_to_mc
 from paracount.walks import count_reach, propagate
 
 VOCAB = Vocabulary((("P", 1), ("E", 2)), ("c",))

@@ -3,13 +3,8 @@ import random
 import pytest
 
 from paracount.errors import CountingError
-from paracount.graphs import (
-    DirectedGraph,
-    VertexColouring,
-    enumerate_walks,
-    validate_graph,
-    walk_count_matrix,
-)
+from paracount.graphs import DirectedGraph, VertexColouring, validate_graph
+from paracount.oracles import enumerate_walks, walk_count_matrix
 from paracount.walks import (
     ceil_log2,
     count_log_reach_b,
