@@ -1,15 +1,12 @@
 """Homomorphism counting from coloured canonical paths.
 
 The pattern class is the starred path P_n*: the symmetric path on elements
-0..n-1 over vocabulary (E, C_1, ..., C_n) where C_i pins element i-1.  For
-such patterns the homomorphism count into a target B equals the number of
-s-t walks of n+2 vertices in a layered digraph built from B, and the walk
-enumeration bijects onto the homomorphism enumeration position by position.
-
-That correspondence is exact exactly when B's colour classes are pairwise
-disjoint and E^B is symmetric (targets produced by the colour-respecting
-walk reduction always are).  Targets outside that domain are refused here;
-``count_hom_oracle`` stays total for arbitrary structures.
+0..n-1 over vocabulary (E, C_1, ..., C_n) where C_i pins element i-1.  A
+homomorphism into a target B is a sequence (x_0, ..., x_{n-1}) with
+x_i in C_{i+1}^B and both (x_i, x_{i+1}) and (x_{i+1}, x_i) in E^B.  The
+layered digraph with one vertex per (position, element) pair therefore has
+exactly one s-t walk of n+2 vertices per homomorphism, on every target:
+colour classes may overlap and E^B need not be symmetric.
 """
 from __future__ import annotations
 
@@ -111,50 +108,32 @@ def _check_pattern(n: int, b: RelationalStructure) -> None:
         )
 
 
-def validate_path_star_target(b: RelationalStructure, n: int) -> list[set[int]]:
-    """Refuse targets on which the layered-graph construction miscounts;
-    return the colour classes C_1..C_n as element sets."""
-    _check_pattern(n, b)
-    classes = [{t[0] for t in b.interpretation[f"C_{i}"]} for i in range(1, n + 1)]
-    seen: set[int] = set()
-    for i, cls in enumerate(classes, start=1):
-        if cls & seen:
-            raise CountingError(
-                "overlapping-colour-classes",
-                f"element(s) {sorted(cls & seen)} appear in C_{i} and an earlier class",
-            )
-        seen |= cls
-    edges = b.interpretation["E"]
-    for u, v in edges:
-        if (v, u) not in edges:
-            raise CountingError(
-                "asymmetric-edge-relation", f"edge ({u}, {v}) lacks its reverse"
-            )
-    return classes
-
-
 def build_layered_reach_graph(
     b: RelationalStructure, n: int
-) -> tuple[DirectedGraph, int, int]:
+) -> tuple[DirectedGraph, int, int, list[int]]:
     """The walk instance equivalent to counting homs from P_n* into b.
 
-    Elements of b keep their indices; s and t are appended last.  Edges run
-    s -> C_1 elements, E^b edges from C_i- to C_{i+1}-coloured elements, and
-    C_n elements -> t.
+    Returns (graph, s, t, elements).  Walk vertex v < len(elements) stands
+    for position i and element elements[v] in C_{i+1}, numbered position by
+    position; s and t are appended last.  Edges run s -> position 0, (i, x)
+    -> (i+1, y) when E^b holds (x, y) and (y, x), and position n-1 -> t.
     """
-    classes = validate_path_star_target(b, n)
-    nb = b.universe_size
-    s, t = nb, nb + 1
-    edge_set: set[tuple[int, int]] = set()
-    for x in classes[0]:
-        edge_set.add((s, x))
-    for x, y in b.interpretation["E"]:
-        if any(x in classes[i] and y in classes[i + 1] for i in range(n - 1)):
-            edge_set.add((x, y))
-    for x in classes[n - 1]:
-        edge_set.add((x, t))
-    graph = DirectedGraph(nb + 2, tuple(sorted(edge_set)))
-    return graph, s, t
+    _check_pattern(n, b)
+    slots = [(i, x) for i in range(n) for (x,) in sorted(b.interpretation[f"C_{i + 1}"])]
+    vertex = {slot: v for v, slot in enumerate(slots)}
+    at: dict[int, list[int]] = {}  # element -> the positions whose class holds it
+    for i, x in slots:
+        at.setdefault(x, []).append(i)
+    s, t = len(slots), len(slots) + 1
+    edges = [(s, v) for v, (i, _) in enumerate(slots) if i == 0]
+    edges += [(v, t) for v, (i, _) in enumerate(slots) if i == n - 1]
+    e = b.interpretation["E"]
+    for x, y in e:
+        if (y, x) in e:
+            for i in at.get(x, ()):
+                if (i + 1, y) in vertex:
+                    edges.append((vertex[i, x], vertex[i + 1, y]))
+    return DirectedGraph(t + 1, tuple(sorted(edges))), s, t, [x for _, x in slots]
 
 
 def count_hom_path_star(n: int, b: RelationalStructure, k: int) -> int:
@@ -165,5 +144,5 @@ def count_hom_path_star(n: int, b: RelationalStructure, k: int) -> int:
     if n > k:  # gated, but only once the pattern is checked
         _check_pattern(n, b)
         return 0
-    graph, s, t = build_layered_reach_graph(b, n)
+    graph, s, t, _ = build_layered_reach_graph(b, n)
     return count_reach(graph, s, t, n + 2)

@@ -96,14 +96,14 @@ def hom_walk_correspondence(
     """Materialise both sides of the walk <-> homomorphism bijection.
 
     Returns (walks stripped of s and t, homomorphism image tuples); the
-    stripped walk (v_1, ..., v_n) corresponds to the map i-1 -> v_i.  Both
+    stripped walk (v_1, ..., v_n) is read as the map i-1 -> elements[v_i].  Both
     lists are sorted; the correspondence holds iff they are equal.
     """
     from .homs import build_layered_reach_graph, enumerate_homs, make_path_star
 
-    graph, s, t = build_layered_reach_graph(b, n)
+    graph, s, t, elements = build_layered_reach_graph(b, n)
     walks = enumerate_walks(graph, s, t, n + 1, limit)
-    stripped = sorted(w[1:-1] for w in walks)
+    stripped = sorted(tuple(elements[v] for v in w[1:-1]) for w in walks)
     pattern = make_path_star(n).structure
     homs = sorted(enumerate_homs(pattern, b, limit))
     return stripped, homs

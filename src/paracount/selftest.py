@@ -186,51 +186,36 @@ def rand_structure(rng: random.Random, max_universe: int = 5) -> RelationalStruc
 def rand_path_star_target(
     rng: random.Random, n: int, max_universe: int = 5
 ) -> RelationalStructure:
-    """Random target with pairwise-disjoint colour classes and symmetric edges."""
+    """Random target over (E, C_1..C_n): each colour class is a random subset,
+    so classes may overlap, and E holds random pairs (self-loops included),
+    closed under reversal in about half of the draws."""
     size = rng.randint(1, max_universe)
-    colour_of = [rng.randint(0, n) for _ in range(size)]  # 0 = uncoloured
-    edges = set()
-    for u in range(size):
-        for v in range(u, size):
-            if rng.random() < 0.45:
-                edges.add((u, v))
-                edges.add((v, u))
+    edges = {(u, v) for u in range(size) for v in range(size) if rng.random() < 0.5}
+    if rng.random() < 0.5:
+        edges |= {(v, u) for u, v in edges}
     interpretation: dict[str, object] = {"E": edges}
     for i in range(1, n + 1):
-        interpretation[f"C_{i}"] = {(u,) for u in range(size) if colour_of[u] == i}
+        interpretation[f"C_{i}"] = {(u,) for u in range(size) if rng.random() < 0.4}
     return RelationalStructure(homm.path_star_vocabulary(n), size, interpretation)
 
 
 def rand_coloured_instance(
-    rng: random.Random, max_n: int = 6, hom_safe: bool = False
+    rng: random.Random, max_n: int = 6
 ) -> tuple[VertexColouring, int, int, int]:
     """Random coloured walk instance with colour(s) = 1, colour(t) = m = k.
 
-    With hom_safe the instance stays inside the homomorphism transform's
-    domain: s and t are the unique colour-1 and colour-k vertices, and no
-    edge descends by exactly one colour.
+    Every other vertex takes any colour in 1..k, so edges may rise, fall or
+    keep their colour, and s and t need not be alone in their classes.
     """
     k = rng.randint(2, 4)
     g = rand_graph(rng, max_n)
     if g.n < 2:
         g = DirectedGraph(2, g.edges)
-    if hom_safe and k == 2:
-        g = DirectedGraph(2, tuple(e for e in g.edges if max(e) < 2))
-    n = g.n
-    s, t = rng.sample(range(n), 2)
-    if hom_safe:
-        colours = [rng.randint(2, k - 1) if k > 2 else 1 for _ in range(n)]
-    else:
-        colours = [rng.randint(1, k) for _ in range(n)]
+    s, t = rng.sample(range(g.n), 2)
+    colours = [rng.randint(1, k) for _ in range(g.n)]
     colours[s] = 1
     colours[t] = k
-    if hom_safe:
-        edges = tuple(
-            (u, v) for u, v in g.edges if colours[u] != colours[v] + 1
-        )
-        g = DirectedGraph(n, edges)
-    vc = VertexColouring(g, tuple(colours))
-    return vc, s, t, k
+    return VertexColouring(g, tuple(colours)), s, t, k
 
 
 def rand_ordered_bp(rng: random.Random) -> BranchingProgram:
@@ -628,9 +613,7 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
     )
     failures += [f"hom-to-reach: {row}" for row in report.failures()]
 
-    colour_instances = [
-        rand_coloured_instance(rng, hom_safe=True) for _ in range(count)
-    ]
+    colour_instances = [rand_coloured_instance(rng) for _ in range(count)]
 
     report = redm.verify_parsimonious(
         records["reachcolour-to-hom"],

@@ -26,7 +26,7 @@ def reduce_hom_to_reach(
     """
     from .homs import build_layered_reach_graph
 
-    graph, s, t = build_layered_reach_graph(b, n)
+    graph, s, t, _ = build_layered_reach_graph(b, n)
     return graph, s, t, n + 2
 
 
@@ -35,13 +35,12 @@ def reduce_reach_colour_to_hom(
 ) -> tuple[PathStarStructure, RelationalStructure, int]:
     """Colour-respecting walk counting as path-star homomorphism counting.
 
-    The target takes the symmetric closure of the edges and one colour
-    class per position; the position-respecting colouring is what keeps
-    edge directions respected despite the symmetrisation.  That argument
-    needs one property of the instance: no edge may descend by exactly one
-    colour, since its symmetrised twin would let a homomorphism traverse
-    it against the original direction.  Edges with any other colour delta
-    are unusable by colour-respecting walks and homomorphisms alike.
+    E^B holds each edge that rises by exactly one colour, with its reverse;
+    C_1 = {s}, C_k = {t} and every middle class C_i holds the colour-i
+    vertices.  A homomorphism's consecutive images rise by one colour, so
+    only a kept edge in its own direction can join them (the reverse of a
+    rising edge falls): homomorphisms are exactly the colour-respecting
+    s-t walks, whatever the rest of the colouring and the edges.
     """
     from .homs import make_path_star, path_star_vocabulary
 
@@ -56,31 +55,13 @@ def reduce_reach_colour_to_hom(
         )
     if k < 2:
         raise CountingError("side-condition-violated", f"pattern needs k >= 2, got {k}")
-    for u, v in g.edges:
-        if vc.colour_of(u) == vc.colour_of(v) + 1:
-            raise CountingError(
-                "side-condition-violated",
-                f"edge ({u}, {v}) descends from colour {vc.colour_of(u)} to "
-                f"{vc.colour_of(v)}; its symmetrised twin would fake a walk step",
-            )
-    # The counted walks are pinned to s and t, so the end colour classes
-    # must pin them too: s must be the only colour-1 vertex and t the only
-    # colour-m vertex, or homomorphisms may start or end elsewhere.
-    if vc.colours.count(1) != 1 or vc.colours.count(vc.m) != 1:
-        raise CountingError(
-            "side-condition-violated",
-            "colour 1 and colour m must each be used by exactly one vertex",
-        )
-    pattern = make_path_star(k)
-    sym_edges = set()
-    for u, v in g.edges:
-        sym_edges.add((u, v))
-        sym_edges.add((v, u))
-    interpretation: dict[str, object] = {"E": sym_edges}
-    for i in range(1, k + 1):
-        interpretation[f"C_{i}"] = {(u,) for u in range(g.n) if vc.colour_of(u) == i}
+    rising = [(u, v) for u, v in g.edges if vc.colour_of(v) == vc.colour_of(u) + 1]
+    interpretation: dict[str, object] = {
+        "E": rising + [(v, u) for u, v in rising], "C_1": [(s,)], f"C_{k}": [(t,)]}
+    for i in range(2, k):
+        interpretation[f"C_{i}"] = [(u,) for u in range(g.n) if vc.colour_of(u) == i]
     target = RelationalStructure(path_star_vocabulary(k), g.n, interpretation)
-    return pattern, target, k
+    return make_path_star(k), target, k
 
 
 def reach_formula(k: int) -> QFFormula:

@@ -1023,7 +1023,7 @@ def test_hom_process_does_not_load_fo(tmp_path, command, used, unused):
 
 
 #: Reduction -> the counting modules that its record never uses.
-REDUCE_UNUSED = {"hom-to-reach": {*FORMULA_MODULES, "pdet"}, "reach-to-mc": {"homs", "pdet"},
+REDUCE_UNUSED = {"hom-to-reach": {*FORMULA_MODULES, "pdet"}, "reach-to-mc": {"homs", "pdet", "sweep"},
                  "reach-to-pdet": {*FORMULA_MODULES, "homs"},
                  "reachcolour-to-hom": {*FORMULA_MODULES, "pdet"}}
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paracount.errors import CountingError
 from paracount.homs import (
@@ -12,9 +14,12 @@ from paracount.homs import (
     make_path_star,
     path_star_vocabulary,
 )
+from paracount.graphs import DirectedGraph, VertexColouring
 from paracount.oracles import hom_walk_correspondence
 from paracount.selftest import rand_path_star_target
 from paracount.structures import RelationalStructure, Vocabulary
+from paracount.transforms import reduce_hom_to_reach, reduce_reach_colour_to_hom
+from paracount.walks import count_reach, count_reach_colour
 
 
 def test_make_path_star_smallest():
@@ -92,33 +97,88 @@ def test_count_hom_path_star_vocabulary_mismatch():
 
 def test_layered_graph_shape():
     b = make_path_star(2).structure
-    graph, s, t = build_layered_reach_graph(b, 2)
-    assert graph.n == 4  # two elements plus s and t
-    assert (s, 0) in graph.edges and (1, t) in graph.edges
+    graph, s, t, elements = build_layered_reach_graph(b, 2)
+    assert graph.n == 4  # one (position, element) pair per class member, plus s and t
+    assert elements == [0, 1]
+    assert set(graph.edges) == {(s, 0), (0, 1), (1, t)}
 
 
-def test_overlapping_colour_classes_refused():
+def test_overlapping_colour_classes_counted():
+    # element 0 is in C_1 and C_2; its self-loop lets it fill both positions
     target = RelationalStructure(
         path_star_vocabulary(2),
         2,
-        {"E": {(0, 1), (1, 0)}, "C_1": {(0,)}, "C_2": {(0,)}},
+        {"E": {(0, 0), (0, 1), (1, 0)}, "C_1": {(0,)}, "C_2": {(0,), (1,)}},
     )
-    with pytest.raises(CountingError) as err:
-        count_hom_path_star(2, target, 2)
-    assert err.value.code == "overlapping-colour-classes"
+    pattern = make_path_star(2).structure
+    assert count_hom_path_star(2, target, 2) == 2 == count_hom_oracle(pattern, target)
+    walks, homs = hom_walk_correspondence(2, target)
+    assert walks == homs == [(0, 0), (0, 1)]
 
 
-def test_asymmetric_edges_refused():
+def test_asymmetric_edges_counted():
+    # (1, 2) lacks its reverse, so it cannot carry the symmetric pattern edge
     target = RelationalStructure(
+        path_star_vocabulary(2),
+        3,
+        {"E": {(0, 1), (1, 0), (1, 2)}, "C_1": {(0,), (1,)}, "C_2": {(1,), (2,)}},
+    )
+    pattern = make_path_star(2).structure
+    assert count_hom_path_star(2, target, 2) == 1 == count_hom_oracle(pattern, target)
+    one_way = RelationalStructure(
         path_star_vocabulary(2),
         2,
         {"E": {(0, 1)}, "C_1": {(0,)}, "C_2": {(1,)}},
     )
-    with pytest.raises(CountingError) as err:
-        count_hom_path_star(2, target, 2)
-    assert err.value.code == "asymmetric-edge-relation"
-    # the exhaustive oracle stays total on such targets
-    assert count_hom_oracle(make_path_star(2).structure, target) == 0
+    assert count_hom_path_star(2, one_way, 2) == 0 == count_hom_oracle(pattern, one_way)
+
+
+@st.composite
+def path_star_targets(draw):
+    """Any target over (E, C_1..C_n): classes may overlap, E may hold one-way
+    pairs and self-loops."""
+    n = draw(st.integers(2, 4))
+    size = draw(st.integers(1, 4))
+    element = st.integers(0, size - 1)
+    edges = draw(st.sets(st.tuples(element, element), max_size=size * size))
+    interpretation = {"E": edges}
+    for i in range(1, n + 1):
+        interpretation[f"C_{i}"] = {(x,) for x in draw(st.sets(element))}
+    return n, RelationalStructure(path_star_vocabulary(n), size, interpretation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_star_targets())
+def test_every_layered_route_matches_the_oracle_on_any_target(case):
+    n, b = case
+    expected = count_hom_oracle(make_path_star(n).structure, b)
+    assert count_hom_path_star(n, b, n) == expected
+    graph, s, t, kp = reduce_hom_to_reach(n, b, n)
+    assert count_reach(graph, s, t, kp) == expected
+    walks, homs = hom_walk_correspondence(n, b)
+    assert walks == homs and len(homs) == expected
+
+
+@st.composite
+def coloured_instances(draw):
+    """Any colouring with colour(s) = 1 and colour(t) = k: edges may fall or
+    keep their colour, and s and t may share their classes."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(vertex, vertex), max_size=n * n))
+    s, t = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+    colours = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    colours[s], colours[t] = 1, k
+    return VertexColouring(DirectedGraph(n, tuple(sorted(edges))), tuple(colours)), s, t, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_instances())
+def test_reach_colour_to_hom_matches_the_colour_walk_count(case):
+    vc, s, t, k = case
+    pattern, target, _ = reduce_reach_colour_to_hom(vc, s, t, k)
+    assert count_hom_oracle(pattern.structure, target) == count_reach_colour(vc, s, t, k)
 
 
 def test_count_hom_path_star_matches_oracle():

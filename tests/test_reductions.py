@@ -84,24 +84,22 @@ def test_reach_colour_to_hom_side_conditions():
     with pytest.raises(CountingError) as err:
         reduce_reach_colour_to_hom(VertexColouring(g, (2, 1)), 0, 1, 2)
     assert err.value.code == "side-condition-violated"
-    # descending-by-one edge: its symmetrised twin would fake a walk step
-    g2 = validate_graph(3, [(0, 2), (1, 0)])
-    vc2 = VertexColouring(g2, (1, 2, 2))
-    with pytest.raises(CountingError) as err:
-        reduce_reach_colour_to_hom(vc2, 0, 2, 2)
-    assert err.value.code == "side-condition-violated"
-    # a second colour-1 vertex would let homomorphisms start elsewhere
+    # an edge falling by one colour is left out of E^B, so no reversed twin fakes a step
+    g2 = validate_graph(3, [(1, 0), (1, 2)])
+    vc2 = VertexColouring(g2, (1, 2, 3))
+    pattern, target, _ = reduce_reach_colour_to_hom(vc2, 0, 2, 3)
+    assert count_hom_oracle(pattern.structure, target) == 0 == count_reach_colour(vc2, 0, 2, 3)
+    # C_1 = {s}: a second colour-1 vertex starts no homomorphism
     g3 = validate_graph(3, [(0, 1), (2, 1)])
     vc3 = VertexColouring(g3, (1, 2, 1))
-    with pytest.raises(CountingError) as err:
-        reduce_reach_colour_to_hom(vc3, 0, 1, 2)
-    assert err.value.code == "side-condition-violated"
+    pattern, target, _ = reduce_reach_colour_to_hom(vc3, 0, 1, 2)
+    assert count_hom_oracle(pattern.structure, target) == 1 == count_reach_colour(vc3, 0, 1, 2)
 
 
 def test_reach_colour_to_hom_random_agreement():
     rng = random.Random(72)
     for _ in range(60):
-        vc, s, t, k = rand_coloured_instance(rng, hom_safe=True)
+        vc, s, t, k = rand_coloured_instance(rng)
         pattern, target, kp = reduce_reach_colour_to_hom(vc, s, t, k)
         assert count_hom_oracle(pattern.structure, target) == count_reach_colour(
             vc, s, t, k
