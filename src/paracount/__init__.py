@@ -41,7 +41,6 @@ _ALSO = {
     "formulas": ("QFFormula", "formula_size", "locality_radius", "max_arity"),
     "sweep": ("count_mc_local",),
     "programs": ("BranchingProgram", "validate_bp"),
-    "readonce": ("check_read_once_certified", "stagger"),
     "transforms": (
         "reduce_hom_to_reach",
         "reduce_reach_colour_to_hom",
@@ -51,12 +50,14 @@ _ALSO = {
     "covers": ("count_cycle_cover2_cnf",),
     "oracles": (
         "ClowSequence",
+        "check_read_once_certified",
         "clow_sign",
         "det_cross_check",
         "enumerate_cycle_covers",
         "enumerate_k_clow_sequences",
         "enumerate_walks",
         "eta",
+        "stagger",
         "walk_count_matrix",
     ),
 }
@@ -77,7 +78,7 @@ _MOVED = {
     "fo": {"count_mc_local": "sweep", "locality_radius": "formulas", "max_arity": "formulas",
            "structure_from_json": "structures", "structure_to_json": "structures"},
     "bp": {"bp_from_json": "programs", "validate_bp": "programs",
-           "check_read_once_certified": "readonce", "stagger": "readonce"},
+           "check_read_once_certified": "oracles", "stagger": "oracles"},
     "pdet": {"eta": "oracles"},
     "graphs": {"enumerate_walks": "oracles", "walk_count_matrix": "oracles"},
     "cnf": {"count_cycle_cover2_cnf": "covers", "characteristic_assignment": "oracles",

@@ -7,9 +7,9 @@ in ``programs``.  The count is made two ways: ``bp_count_acc`` enumerates
 every y (the oracle), and ``bp_count_fast`` needs the read-once model: the
 y bits on a one-way tape, so every source-sink path reads y indices in
 strictly increasing order, and determinism given inputs.  One pass in
-layer order, linear in the edges (``readonce``), checks that order; the
-counter then keeps one count per node on a source-sink path, halved at
-each y read.
+layer order, linear in the edges (``_check_increasing_reads``), checks
+that order; the counter then keeps one count per node on a source-sink
+path, halved at each y read.
 """
 from __future__ import annotations
 
@@ -17,9 +17,7 @@ from collections.abc import Sequence
 
 from .errors import DEFAULT_LIMIT, CountingError, check_limit
 
-# `BranchingProgram` and `Label` appear only in annotations, never evaluated;
-# `bp_count_fast` imports the read-order check itself, so `bp --method acc` and
-# `bp --y` compile no `readonce`.
+# `BranchingProgram` and `Label` appear only in annotations, never evaluated.
 
 
 def is_deterministic_given_inputs(p: BranchingProgram) -> bool:
@@ -28,6 +26,13 @@ def is_deterministic_given_inputs(p: BranchingProgram) -> bool:
     node has at most one edge, labelled None (``validate_bp``)."""
     return all(len(fanout) == len({bit for _, bit in fanout})
                for fanout in p.out_edges().values())
+
+
+def _check_deterministic(p: BranchingProgram) -> None:
+    if not is_deterministic_given_inputs(p):
+        raise CountingError(
+            "not-deterministic", "a node offers two edges for one bit value"
+        )
 
 
 def _bit_of(label: Label, x: Sequence[int], y: Sequence[int]) -> int | None:
@@ -75,10 +80,7 @@ def bp_count_acc(
     checked against.  Unread y bits are free, so they double the
     count per bit.  Raises LimitExceeded when 2^numY exceeds ``limit``.
     """
-    if not is_deterministic_given_inputs(p):
-        raise CountingError(
-            "not-deterministic", "a node offers two edges for one bit value"
-        )
+    _check_deterministic(p)
     check_limit(2 ** p.num_y, limit, f"y assignments (2^{p.num_y})")
     _check_widths(p, len(x), p.num_y)
     count = 0
@@ -94,6 +96,48 @@ def bp_count_acc(
 # ---------------------------------------------------------------------------
 
 
+def _relevant_nodes(p: BranchingProgram) -> list[int]:
+    """The nodes on some source-sink path, in layer order: one sweep forward
+    from the source, one backward from the sink."""
+    out = p.out_edges()
+    order = p.nodes()
+    reached = {p.source}
+    for u in order:
+        if u in reached:
+            reached.update(v for v, _ in out.get(u, []))
+    alive = reached & {p.sink}
+    for u in reversed(order):
+        if u in reached and any(v in alive for v, _ in out.get(u, [])):
+            alive.add(u)
+    return [u for u in order if u in alive]
+
+
+def _check_increasing_reads(p: BranchingProgram, code: str) -> dict[int, int]:
+    """Map each node on a source-sink path, in layer order, to the largest y
+    index read on some source path up to and including it (0 when none).
+
+    One pass in layer order, linear in the edges.  Refuses with ``code``
+    when some source-sink path reads y indices not strictly increasingly.
+    """
+    out = p.out_edges()
+    before: dict[int, int] = {}
+    upto: dict[int, int] = {}
+    for u in _relevant_nodes(p):
+        read = before.get(u, 0)
+        label = p.label_of(u)
+        if label[0] == "y" and u != p.sink:  # no counter reads the sink's bit
+            if label[1] <= read:
+                raise CountingError(
+                    code, f"y_{label[1]} is read after y_{read} on some path"
+                )
+            read = label[1]
+        upto[u] = read
+        for v, _ in out.get(u, []):
+            if before.get(v, 0) < read:
+                before[v] = read
+    return upto
+
+
 def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
     """Accepting count by one pass in layer order, no y enumeration.
 
@@ -107,16 +151,9 @@ def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
     The halving is exact, since every path that reaches a y_j node has read
     fewer than j bits.
     """
-    if len(x) != p.num_x:
-        raise CountingError("width-mismatch", f"|x| = {len(x)}, numX = {p.num_x}")
-    if not is_deterministic_given_inputs(p):
-        raise CountingError(
-            "not-deterministic", "a node offers two edges for one bit value"
-        )
-    from .readonce import _check_increasing_reads
-
+    _check_widths(p, len(x), p.num_y)
+    _check_deterministic(p)
     upto = _check_increasing_reads(p, "precondition-violated")
-
     out = p.out_edges()
     counts = dict.fromkeys(upto, 0)
     counts[p.source] = 2 ** p.num_y

@@ -2,11 +2,14 @@
 walk enumerator and matrix power, both sides of the walk-homomorphism
 bijection for starred paths, the cycle-cover enumerator, the
 k-clow-sequence enumerator with the sign-reversing involution ``eta``, and
-the cofactor determinant.
+the cofactor determinant; and two transforms of branching programs that
+no counter needs: read-once certification, which confines each y_j's
+label occurrences to one band of consecutive layers, and ``stagger``,
+which re-layers a program with increasing y reads into that shape.
 
 Only the self-test battery, the tests and the benchmark references call
 them, so no counting process compiles this module.  The names that
-``pdet``, ``graphs`` and ``cnf`` used to define are listed in
+``pdet``, ``graphs``, ``cnf`` and ``bp`` used to define are listed in
 ``paracount._MOVED``, so those modules still resolve them for the benchmark,
 loading this one on first use.
 """
@@ -14,13 +17,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from .bp import _check_increasing_reads
 from .cnf import _successor_choices
 from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit
 from .pdet import pdet_direct
+from .programs import validate_bp
 from .walks import check_vertex
 
-# `DirectedGraph`, `RelationalStructure` and `ZeroOneMatrix` appear only in
-# annotations, never evaluated.
+# `BranchingProgram`, `DirectedGraph`, `RelationalStructure` and
+# `ZeroOneMatrix` appear only in annotations, never evaluated.
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +459,103 @@ def det_cross_check(a: ZeroOneMatrix) -> int:
         if a.rows[i][i] != 1:
             raise CountingError("diagonal-not-unit", f"entry ({i}, {i}) is 0")
     return sum(pdet_direct(a, k) for k in range(a.n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Read-once certification and staggering of branching programs
+# ---------------------------------------------------------------------------
+
+
+class ReadOnceCertificate(Record):
+    """Cut layers i_0 < i_1 < ... < i_m: y_j occurs only in [i_{j-1}, i_j].
+
+    Trailing cuts may exceed the top layer index when the last bands are
+    empty of occurrences.
+    """
+
+    __slots__ = _fields = ("cut_layers",)
+    cut_layers: tuple[int, ...]
+
+
+class Refusal(Record):
+    """Names a pair of y variables whose occurrence layers cannot be banded."""
+
+    __slots__ = _fields = ("earlier_variable", "later_variable", "reason")
+    earlier_variable: int
+    later_variable: int
+    reason: str
+
+
+def _occurrence_layers(p: BranchingProgram) -> dict[int, tuple[int, int]]:
+    layer_index = p.layer_of()
+    occ: dict[int, list[int]] = {}
+    for node, label in p.labels:
+        if label[0] == "y" and node != p.sink:  # no counter reads the sink's bit
+            occ.setdefault(label[1], []).append(layer_index[node])
+    return {j: (min(l), max(l)) for j, l in occ.items()}
+
+
+def check_read_once_certified(p: BranchingProgram) -> ReadOnceCertificate | Refusal:
+    """Greedy banding from per-variable min/max occurrence layers."""
+    occ = _occurrence_layers(p)
+    cuts = [0]
+    provenance = 0  # variable whose occurrences pushed the last cut up
+    for j in range(1, p.num_y + 1):
+        prev = cuts[-1]
+        if j in occ:
+            lo, hi = occ[j]
+            if lo < prev:
+                return Refusal(
+                    provenance,
+                    j,
+                    f"y_{j} occurs at layer {lo}, below the cut {prev} forced "
+                    f"by y_{provenance}",
+                )
+            if hi >= prev + 1:
+                cuts.append(hi)
+                provenance = j
+            else:
+                cuts.append(prev + 1)
+        else:
+            cuts.append(prev + 1)
+    return ReadOnceCertificate(tuple(cuts))
+
+
+def stagger(p: BranchingProgram) -> BranchingProgram:
+    """Re-layer p into a read-once certified program with the same accepting
+    counts for every input.
+
+    Requires the order property: every source-sink path reads y indices
+    strictly increasingly (one layer-order pass, linear in the edges).
+    Already-certified programs come back unchanged.  Otherwise the nodes and
+    edges on source-sink paths are kept and only moved.  A node u other than
+    the sink takes the slot (max(upto[u], 1), old layer), upto[u] the
+    largest y index read up to u; the new layers are a fresh pass source,
+    the sorted distinct slots, and the sink alone, relabelled pass.
+
+    Counts are kept: upto never falls along an edge and the old layer rises
+    within a band, so every kept edge still goes to a later layer, and the
+    kept subgraph holds every source-sink path.  The output is certified:
+    y_j occurs only in band j, and each band opens with an empty slot
+    (j, -1), since the certificate's cuts rise by at least one per variable.
+    """
+    upto = _check_increasing_reads(p, "order-property-violated")
+    if isinstance(check_read_once_certified(p), ReadOnceCertificate):
+        return p
+    if p.sink not in upto:
+        # No accepting path at all; the empty program preserves every count.
+        return validate_bp([[0], [1]], {}, [], p.num_x, p.num_y, 0, 1)
+    layer = p.layer_of()
+    slot = {u: (max(upto[u], 1), layer[u]) for u in upto if u != p.sink}
+    order = sorted(set(slot.values()) | {(j, -1) for j in range(1, p.num_y + 1)})
+    position = {s: i for i, s in enumerate(order, 1)}
+    source = max(p.nodes()) + 1
+    layers: list[list[int]] = [[source]] + [[] for _ in order] + [[p.sink]]
+    for u, s in slot.items():
+        layers[position[s]].append(u)
+    edges = [(u, v, bit) for u, v, bit in p.edges if u in upto and v in upto]
+    staggered = validate_bp(layers, {u: label for u, label in p.labels if u in slot},
+                            edges + [(source, p.source, None)],
+                            p.num_x, p.num_y, source, p.sink)
+    assert isinstance(check_read_once_certified(staggered), ReadOnceCertificate)
+    return staggered

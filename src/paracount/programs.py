@@ -5,8 +5,8 @@ A program reads ordinary bits x_1..x_numX and nondeterministic bits
 y_1..y_numY.  Nodes sit in layers; every edge goes to a strictly later
 layer and carries the bit value of the departed node's variable (``None``
 for forced pass-through nodes, which every input follows).  Acceptance and
-the counts live in ``bp``; the read order and its certification in
-``readonce``.
+the counts, with the read-order check of the fast count, live in ``bp``;
+read-once certification and ``stagger`` in ``oracles``.
 """
 from __future__ import annotations
 

@@ -28,9 +28,8 @@ from . import walks as wkm
 from .errors import Record
 from .formulas import Atom, Connective, Eq, Node, QFFormula, Var, locality_radius, max_arity
 from .graphs import DirectedGraph, VertexColouring
-from .oracles import enumerate_walks
+from .oracles import ReadOnceCertificate, check_read_once_certified, enumerate_walks, stagger
 from .programs import BranchingProgram, Label, validate_bp
-from .readonce import ReadOnceCertificate, check_read_once_certified, stagger
 from .structures import RelationalStructure, Vocabulary
 from .sweep import count_mc_local
 from .transforms import reduce_reach_to_mc, reduce_reach_to_pdet

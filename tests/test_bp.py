@@ -5,8 +5,8 @@ import pytest
 
 from paracount.bp import bp_accepts, bp_count_acc, bp_count_fast, is_deterministic_given_inputs
 from paracount.errors import CountingError, LimitExceeded
+from paracount.oracles import ReadOnceCertificate, Refusal, check_read_once_certified, stagger
 from paracount.programs import bp_from_json, bp_to_json, validate_bp
-from paracount.readonce import ReadOnceCertificate, Refusal, check_read_once_certified, stagger
 from paracount.selftest import rand_ordered_bp
 from paracount.walks import log_gate_passes
 
@@ -93,11 +93,32 @@ def test_accepts_y_root():
 
 
 def test_width_mismatch():
-    for run in (lambda p, x: bp_accepts(p, x, []), bp_count_acc):
+    for run in (lambda p, x: bp_accepts(p, x, []), bp_count_acc, bp_count_fast):
         with pytest.raises(CountingError) as err:
             run(simple_x_tester(), [1, 0])
         assert err.value.code == "width-mismatch"
         assert err.value.message == "got |x| = 2, |y| = 0, expected 1, 0"
+
+
+def falling_read(*extra_edges):
+    """Reads y_2, then y_1, so it is outside the read-once model; plus ``extra_edges``."""
+    return validate_bp([[0], [1], [2]], {0: ("y", 2), 1: ("y", 1)},
+                       [(0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1), *extra_edges],
+                       0, 2, 0, 2)
+
+
+@pytest.mark.parametrize("run, program, x, code", [
+    # acc: determinism, then the limit, then the widths
+    (lambda p, x: bp_count_acc(p, x, limit=1), falling_read((0, 2, 0)), [1], "not-deterministic"),
+    (lambda p, x: bp_count_acc(p, x, limit=1), falling_read(), [1], "limit-exceeded"),
+    # fast: the widths, then determinism, then the read order
+    (bp_count_fast, falling_read((0, 2, 0)), [1], "width-mismatch"),
+    (bp_count_fast, falling_read((0, 2, 0)), [], "not-deterministic"),
+], ids=["acc-determinism", "acc-limit", "fast-widths", "fast-determinism"])
+def test_each_count_keeps_its_order_of_checks(run, program, x, code):
+    with pytest.raises(CountingError) as err:
+        run(program, x)
+    assert err.value.code == code
 
 
 def test_count_acc_examples():
@@ -280,16 +301,7 @@ def test_count_fast_requires_increasing_reads():
         0,
         2,
     )
-    # Deterministic, but reads y_2 before y_1.
-    decreasing = validate_bp(
-        [[0], [1], [2]],
-        {0: ("y", 2), 1: ("y", 1)},
-        [(0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1)],
-        0,
-        2,
-        0,
-        2,
-    )
+    decreasing = falling_read()  # deterministic, but reads y_2 before y_1
     # Ordered but not deterministic: x_1 = 0 leaves the root on both edges.
     two_edges = validate_bp(p.layers, dict(p.labels), [*p.edges, (0, 2, 0)], 1, 2,
                             p.source, p.sink)

@@ -336,6 +336,9 @@ def test_bp_acceptance_and_counting(tmp_path, capsys):
     assert code == 0 and json.loads(out)["count"] == "2"
     code, out, _ = run(capsys, "bp", "--program", program, "--x", "", "--y", "1")
     assert code == 0 and json.loads(out)["count"] == "1"
+    program = write(tmp_path, "falling.json", FALLING_READ)  # fast refuses it (test_refusal_codes)
+    code, out, _ = run(capsys, "bp", "--program", program, "--x", "", "--method", "acc")
+    assert code == 0 and json.loads(out)["count"] == "4"
 
 
 def test_reduce_reach_to_pdet_roundtrip(tmp_path, capsys):
@@ -584,6 +587,10 @@ PROGRAM = {"layers": [[0], [1]], "labels": {"0": {"x": 1}}, "edges": [[0, 1, 1]]
            "numX": 1, "numY": 0, "source": 0, "sink": 1}
 STRUCTURE = {"vocabulary": {"relations": [["E", 2]]}, "universeSize": 2,
              "interpretation": {"E": [[0, 1]]}}
+#: Reads y_2, then y_1: `bp --method fast` refuses it, `--method acc` counts 4.
+FALLING_READ = {"layers": [[0], [1], [2]], "labels": {"0": {"y": 2}, "1": {"y": 1}},
+                "edges": [[0, 1, 0], [0, 1, 1], [1, 2, 0], [1, 2, 1]],
+                "numX": 0, "numY": 2, "source": 0, "sink": 2}
 
 
 @pytest.mark.parametrize("code, text, argv", [
@@ -613,6 +620,10 @@ STRUCTURE = {"vocabulary": {"relations": [["E", 2]]}, "universeSize": 2,
        ("reach2cnf", "--graph", "@graph", "--cnf", "@in", "--a", "2", "--k", "1"))
       for text in ("p cnf 2 x\n1 0\n", "p cnf x 1\n1 0\n", "p cnf 4 1\ntwo 0\n",
                    "p cnf 4 1\n1.5 0\n", "p cnf 4 1\n1_0 0\n")),
+    ("precondition-violated", json.dumps(FALLING_READ),
+     ("bp", "--program", "@in", "--x", "", "--method", "fast")),
+    *(("not-deterministic", json.dumps({**PROGRAM, "edges": [[0, 1, 1], [0, 1, 1]]}),
+       ("bp", "--program", "@in", "--x", "1", "--method", method)) for method in ("acc", "fast")),
 ])
 def test_refusal_codes(tmp_path, capsys, code, text, argv):
     (tmp_path / "in.txt").write_text(text)
@@ -802,10 +813,8 @@ def test_reach_process_loads_only_the_walk_modules(tmp_path):
     refused, after_refusal, counted, loaded = json.loads(modules)
     assert (refused, counted, json.loads(report)["count"]) == (1, 0, "2")
     assert "hashlib" not in after_refusal  # only a report needs the digest
-    unused = {"fo", "formulas", "sweep", "bp", "programs", "readonce", "pdet", "cnf", "homs",
-              "reductions", "transforms", "selftest"}
-    assert not {f"paracount.{name}" for name in unused} & set(loaded)
-    assert "paracount.walks" in loaded
+    assert ({m for m in loaded if m.startswith("paracount.")}
+            == {"paracount.cli", *(f"paracount.{m}" for m in ROUTE_MODULES["reach"])})
 
 
 def test_counting_processes_do_not_load_typing(tmp_path):
@@ -960,35 +969,50 @@ def test_counting_processes_do_not_load_openssl(tmp_path):
     assert not {"hashlib", "_hashlib"} & loaded
 
 
-PROGRAM_MODULES = {"bp", "programs", "readonce"}
-FORMULA_MODULES = {"fo", "formulas", "sweep"}
+#: A route of `every_subcommand`'s `mc` or `bp` run, by an edit of its command line.
+OTHER_ROUTES = {
+    "mc brute": ("mc", lambda argv: [arg for arg in argv if arg != "--local"]),
+    "bp acc": ("bp", lambda argv: [*argv[:-1], "acc"]),  # --method acc
+    "bp y": ("bp", lambda argv: [*argv[:-2], "--y", ""]),  # acceptance; numY = 0
+}
 
 
-@pytest.mark.parametrize("command, unused", [
-    ("pdet", {"graphs", *PROGRAM_MODULES, *FORMULA_MODULES}),
-    ("mc", {"graphs", *PROGRAM_MODULES}),  # with --local
-    ("bp", {"graphs", "walks", *FORMULA_MODULES}),  # with --method fast
-])
-def test_pdet_mc_and_bp_processes_do_not_load_graphs(tmp_path, command, unused):
-    codes, loaded = loaded_by([every_subcommand(tmp_path)[command]])
-    assert codes == [0] and f"paracount.{COMMANDS[command][2]}" in loaded
-    assert not {f"paracount.{name}" for name in unused} & loaded
+def every_route(tmp_path):
+    """Every run of `every_subcommand(each_reduction=True)` and of `OTHER_ROUTES`."""
+    named = every_subcommand(tmp_path, each_reduction=True)
+    named.update((name, edit(named[command])) for name, (command, edit) in OTHER_ROUTES.items())
+    return named
 
 
-#: A route of `every_subcommand`'s `mc` or `bp` run, by an edit of its command
-#: line, and the modules that only the other route of that subcommand uses.
-ROUTE_MODULES = [
-    ("mc", lambda argv: [arg for arg in argv if arg != "--local"], {"sweep", "walks"}),
-    ("bp", lambda argv: [*argv[:-1], "acc"], {"readonce"}),  # --method acc
-    ("bp", lambda argv: [*argv[:-2], "--y", ""], {"readonce"}),  # acceptance; numY = 0
-]
+WALK_MODULES = {"walks", "graphs"}
+PROGRAM_MODULES = {"commands.bp", "bp", "programs"}
+REDUCE_MODULES = {"commands.reduce", "reductions", "transforms", "structures", *WALK_MODULES}
 
-
-@pytest.mark.parametrize("command, edit, unused", ROUTE_MODULES, ids=["mc", "bp-acc", "bp-y"])
-def test_only_the_sweep_and_the_fast_count_load_their_modules(tmp_path, command, edit, unused):
-    codes, loaded = loaded_by([edit(every_subcommand(tmp_path)[command])])
-    assert codes == [0] and f"paracount.{COMMANDS[command][2]}" in loaded
-    assert not {f"paracount.{name}" for name in unused} & loaded
+#: Route of `every_route` -> the `paracount.*` modules its process loads when
+#: `cli` runs as `__main__`: README's module map plus `errors` and `commands`,
+#: which every counting process loads.
+ROUTE_MODULES = {name: {"errors", "commands", *modules} for name, modules in {
+    "reach": {"commands.graph", *WALK_MODULES},
+    "logreach": {"commands.graph", *WALK_MODULES},
+    "logwalk": {"commands.graph", *WALK_MODULES},
+    "reachcolour": {"commands.graph", *WALK_MODULES},
+    "reach2cnf": {"commands.graph", "cnf", *WALK_MODULES},
+    "cyclecover2cnf": {"commands.graph", "covers", "cnf", *WALK_MODULES},
+    "mc": {"commands.mc", "fo", "formulas", "structures", "sweep", "walks"},  # with --local
+    "mc brute": {"commands.mc", "fo", "formulas", "structures"},
+    "hom": {"commands.hom", "homs", "structures", *WALK_MODULES},
+    "pdet": {"commands.pdet", "pdet", "walks"},
+    "bp": PROGRAM_MODULES,  # with --method fast
+    "bp acc": PROGRAM_MODULES,
+    "bp y": PROGRAM_MODULES,
+    "reduce hom-to-reach": {*REDUCE_MODULES, "homs"},
+    "reduce reach-to-mc": {*REDUCE_MODULES, "fo", "formulas"},
+    "reduce reach-to-pdet": {*REDUCE_MODULES, "pdet"},
+    "reduce reachcolour-to-hom": {*REDUCE_MODULES, "homs"},
+    "selftest": {"commands.selftest", "selftest", "oracles", "bp", "programs", "cnf", "covers",
+                 "fo", "formulas", "sweep", "homs", "pdet", "reductions", "transforms",
+                 "structures", *WALK_MODULES},
+}.items()}
 
 
 def test_no_command_resolves_a_name_through_the_moved_table(tmp_path, capsys, monkeypatch):
@@ -1003,48 +1027,19 @@ def test_no_command_resolves_a_name_through_the_moved_table(tmp_path, capsys, mo
 
     moved = paracount._moved
     monkeypatch.setattr(paracount, "_moved", spy)
-    named = every_subcommand(tmp_path, each_reduction=True)  # selftest at smoke scale
-    runs = [*named.values(), *(edit(named[command]) for command, edit, _ in ROUTE_MODULES)]
+    runs = list(every_route(tmp_path).values())  # selftest at smoke scale
     codes = [main(argv) for argv in runs]
     capsys.readouterr()
     assert codes == [0] * len(runs) and resolved == []
 
 
-@pytest.mark.parametrize("command, used, unused", [
-    ("hom", {"homs", "structures"}, FORMULA_MODULES),
-    ("mc", {*FORMULA_MODULES, "structures"}, set()),  # with --local
-    ("reduce", {"reductions", "structures"}, set()),  # hom-to-reach
-])
-def test_hom_process_does_not_load_fo(tmp_path, command, used, unused):
-    codes, loaded = loaded_by([every_subcommand(tmp_path)[command]])
-    assert codes == [0]
-    assert {f"paracount.{name}" for name in used} <= loaded
-    assert not {f"paracount.{name}" for name in unused} & loaded
-
-
-#: Reduction -> the counting modules that its record never uses.
-REDUCE_UNUSED = {"hom-to-reach": {*FORMULA_MODULES, "pdet"}, "reach-to-mc": {"homs", "pdet", "sweep"},
-                 "reach-to-pdet": {*FORMULA_MODULES, "homs"},
-                 "reachcolour-to-hom": {*FORMULA_MODULES, "pdet"}}
-
-
-@pytest.mark.parametrize("name", [*(c for c in COMMANDS if c != "reduce"),
-                                  *(f"reduce {n}" for n in REDUCTIONS)])
+@pytest.mark.parametrize("name", ROUTE_MODULES)
 def test_a_process_compiles_only_its_own_command_module(tmp_path, name):
-    argv = every_subcommand(tmp_path, each_reduction=True)[name]
-    codes, loaded = loaded_by([argv], as_main=True)
-    assert codes == [0]
-    commands = {m for m in loaded if m.startswith("paracount.commands.")}
-    assert commands == {f"paracount.commands.{COMMANDS[argv[0]][1]}"}
-    assert "paracount.cli" not in loaded  # the CLI runs as `__main__`, compiled once
-    if argv[0] != "selftest":
-        assert "paracount.oracles" not in loaded
-    if argv[0] not in ("cyclecover2cnf", "selftest"):  # reach2cnf among them
-        assert "paracount.covers" not in loaded
-    if argv[0] == "cyclecover2cnf":
-        assert {"paracount.covers", "paracount.cnf"} <= loaded
-    if argv[0] == "reduce":
-        assert not {f"paracount.{m}" for m in REDUCE_UNUSED[argv[2]]} & loaded
+    codes, loaded = loaded_by([every_route(tmp_path)[name]], as_main=True)
+    assert codes == [0] and "paracount" in loaded
+    # Exactly the route's modules; `cli` runs as `__main__`, compiled once.
+    assert ({m for m in loaded if m.startswith("paracount.")}
+            == {f"paracount.{m}" for m in ROUTE_MODULES[name]})
 
 
 #: The most AST nodes (by `ast.walk`) of a module that a counting process loads: a

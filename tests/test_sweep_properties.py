@@ -13,8 +13,8 @@ from paracount.bp import bp_count_acc, bp_count_fast
 from paracount.fo import count_mc
 from paracount.formulas import (Atom, Connective, ConstRef, Eq, QFFormula, Var, atom_variables,
                                 locality_radius, max_arity)
+from paracount.oracles import stagger
 from paracount.programs import validate_bp
-from paracount.readonce import stagger
 from paracount.selftest import rand_graph, rand_local_formula, rand_structure
 from paracount.structures import RelationalStructure, Vocabulary
 from paracount.sweep import count_mc_local
