@@ -1014,6 +1014,31 @@ ROUTE_MODULES = {name: {"errors", "commands", *modules} for name, modules in {
                  "structures", *WALK_MODULES},
 }.items()}
 
+FORMULA_MODULES = {"fo", "formulas", "sweep"}
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("pdet", {"graphs", *PROGRAM_MODULES, *FORMULA_MODULES}),
+    ("mc", {"graphs", *PROGRAM_MODULES}),  # with --local
+    ("bp", {"graphs", "walks", *FORMULA_MODULES}),  # with --method fast
+])
+def test_pdet_mc_and_bp_processes_do_not_load_graphs(tmp_path, command, unused):
+    codes, loaded = loaded_by([every_subcommand(tmp_path)[command]])
+    assert codes == [0] and f"paracount.{COMMANDS[command][2]}" in loaded
+    assert not {f"paracount.{name}" for name in unused} & loaded
+
+
+@pytest.mark.parametrize("command, used, unused", [
+    ("hom", {"homs", "structures"}, FORMULA_MODULES),
+    ("mc", {*FORMULA_MODULES, "structures"}, set()),  # with --local
+    ("reduce", {"reductions", "structures"}, set()),  # hom-to-reach
+])
+def test_hom_process_does_not_load_fo(tmp_path, command, used, unused):
+    codes, loaded = loaded_by([every_subcommand(tmp_path)[command]])
+    assert codes == [0]
+    assert {f"paracount.{name}" for name in used} <= loaded
+    assert not {f"paracount.{name}" for name in unused} & loaded
+
 
 def test_no_command_resolves_a_name_through_the_moved_table(tmp_path, capsys, monkeypatch):
     # `paracount._MOVED` serves the benchmark alone: the CLI and the self-test
