@@ -5,8 +5,9 @@ vertex-disjoint cycles through every vertex; a self-loop is a trivial cycle.
 The counted covers have at most k nontrivial cycles on exactly k*a vertices,
 so every other vertex takes its self-loop.  Those few cycles are a bounded
 guess that fixes the whole cover (the paper's tail nondeterminism): the
-count enumerates simple cycles of at most k*a vertices and combines them,
-n^O(k) steps for out-degree <= 2, instead of walking every cover.
+count enumerates the simple cycles of at most k*a vertices that a cover can
+hold and combines them, n^O(k) steps for out-degree <= 2, instead of walking
+every cover.
 """
 from __future__ import annotations
 
@@ -25,31 +26,78 @@ def cyclecover_gate_passes(g: DirectedGraph, cnf: EdgeCNF, a: int) -> bool:
 
 
 def _cycles(g: DirectedGraph, longest: int, charge) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Every simple cycle of 2..``longest`` vertices once, as (head, vertex
-    bitmask, edge ids), ordered by head.  A depth-first search from the head,
-    the least vertex on the cycle, never enters a vertex below it; each
-    search state is charged.  ``frames`` holds the path as (vertex, edge in,
-    untried choices), so the depth is bounded by memory, not recursion."""
+    """Every simple cycle of 2..``longest`` vertices that some cycle cover can
+    hold, once, as (head, vertex bitmask, edge ids), ordered by head.
+
+    A depth-first search from the head, the least vertex on the cycle, enters
+    a vertex v only if v is off the path and can still close the cycle in
+    time: a backward BFS from each head, over the vertices above it, gives
+    ``dist[v]``, the edges from v back to the head.  It also backtracks once a
+    vertex without a self-loop, off the path, has no free predecessor or no
+    free successor left: a predecessor whose out-edge, or a successor whose
+    in-edge, the path has not fixed.  No cover holds such a path.  Each BFS
+    vertex and each search state is charged.  ``frames`` holds the path as
+    (vertex, edge in, untried choices), so the depth is bounded by memory,
+    not recursion."""
     if longest < 2:
         return []
     choices = _successor_choices(g)
+    preds: list[list[int]] = [[] for _ in range(g.n)]
+    succs: list[list[int]] = [[] for _ in range(g.n)]
+    loopless = [True] * g.n
+    for u, v in g.edges:
+        if u == v:
+            loopless[u] = False
+        else:
+            preds[v].append(u)
+            succs[u].append(v)
+    free_in = [len(p) for p in preds]
+    free_out = [len(s) for s in succs]
+
+    def fix(u: int, v: int, step: int) -> bool:
+        """Fix (step -1) or free (step 1) u's out-edge and v's in-edge; True if
+        that strands a loopless vertex off the path."""
+        stranded = False
+        for w in succs[u]:
+            free_in[w] += step
+            stranded |= not free_in[w] and loopless[w] and w not in on_path
+        for w in preds[v]:
+            free_out[w] += step
+            stranded |= not free_out[w] and loopless[w] and w not in on_path
+        return stranded
+
     cycles = []
     for head in range(g.n):
-        charge()
+        dist = {head: 0}
+        queue = [head]
+        for w in queue:
+            charge()
+            if dist[w] + 1 < longest:
+                for u in preds[w]:
+                    if u > head and u not in dist:
+                        dist[u] = dist[w] + 1
+                        queue.append(u)
         on_path = {head}
         frames = [(head, -1, iter(choices[head]))]
         while frames:
-            for v, eid in frames[-1][2]:
+            cur, _, untried = frames[-1]
+            for v, eid in untried:
                 if v == head and len(frames) > 1:
                     ids = (*(e for _, e, _ in frames[1:]), eid)
                     cycles.append((head, sum(1 << u for u in on_path), ids))
-                elif v > head and v not in on_path and len(frames) < longest:
+                elif v in dist and v not in on_path and len(frames) + dist[v] <= longest:
                     charge()
                     on_path.add(v)
-                    frames.append((v, eid, iter(choices[v])))
-                    break
+                    if not fix(cur, v, -1):
+                        frames.append((v, eid, iter(choices[v])))
+                        break
+                    fix(cur, v, 1)
+                    on_path.discard(v)
             else:
-                on_path.discard(frames.pop()[0])
+                v = frames.pop()[0]
+                on_path.discard(v)
+                if frames:
+                    fix(frames[-1][0], v, 1)
     return cycles
 
 

@@ -2,10 +2,11 @@
 walk enumerator and matrix power, both sides of the walk-homomorphism
 bijection for starred paths, the cycle-cover enumerator, the
 k-clow-sequence enumerator with the sign-reversing involution ``eta``, and
-the cofactor determinant; and two transforms of branching programs that
-no counter needs: read-once certification, which confines each y_j's
-label occurrences to one band of consecutive layers, and ``stagger``,
-which re-layers a program with increasing y reads into that shape.
+the cofactor determinant; and, for branching programs, two oracles that
+no counter needs: the read-once band check, which returns the cut layers
+that confine each y_j's label occurrences to one band of consecutive
+layers, or None, and ``stagger``, which re-layers a program with
+increasing y reads into that shape.
 
 Only the self-test battery, the tests and the benchmark references call
 them, so no counting process compiles this module.  The names that
@@ -466,59 +467,27 @@ def det_cross_check(a: ZeroOneMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-class ReadOnceCertificate(Record):
-    """Cut layers i_0 < i_1 < ... < i_m: y_j occurs only in [i_{j-1}, i_j].
+def check_read_once_certified(p: BranchingProgram) -> tuple[int, ...] | None:
+    """Cut layers i_0 < i_1 < ... < i_m with y_j's label occurrences only in
+    layers [i_{j-1}, i_j], or None when no such banding exists.
 
-    Trailing cuts may exceed the top layer index when the last bands are
-    empty of occurrences.
+    Greedy: each cut is the last layer that reads its variable, or one past
+    the previous cut, whichever is higher.  Trailing cuts may exceed the top
+    layer index when the last bands are empty of occurrences.
     """
-
-    __slots__ = _fields = ("cut_layers",)
-    cut_layers: tuple[int, ...]
-
-
-class Refusal(Record):
-    """Names a pair of y variables whose occurrence layers cannot be banded."""
-
-    __slots__ = _fields = ("earlier_variable", "later_variable", "reason")
-    earlier_variable: int
-    later_variable: int
-    reason: str
-
-
-def _occurrence_layers(p: BranchingProgram) -> dict[int, tuple[int, int]]:
-    layer_index = p.layer_of()
-    occ: dict[int, list[int]] = {}
-    for node, label in p.labels:
-        if label[0] == "y" and node != p.sink:  # no counter reads the sink's bit
-            occ.setdefault(label[1], []).append(layer_index[node])
-    return {j: (min(l), max(l)) for j, l in occ.items()}
-
-
-def check_read_once_certified(p: BranchingProgram) -> ReadOnceCertificate | Refusal:
-    """Greedy banding from per-variable min/max occurrence layers."""
-    occ = _occurrence_layers(p)
+    occurrences: dict[int, list[int]] = {}  # j -> the layers reading y_j, ascending
+    for i, layer in enumerate(p.layers):
+        for node in layer:
+            label = p.label_of(node)
+            if label[0] == "y" and node != p.sink:  # no counter reads the sink's bit
+                occurrences.setdefault(label[1], []).append(i)
     cuts = [0]
-    provenance = 0  # variable whose occurrences pushed the last cut up
     for j in range(1, p.num_y + 1):
-        prev = cuts[-1]
-        if j in occ:
-            lo, hi = occ[j]
-            if lo < prev:
-                return Refusal(
-                    provenance,
-                    j,
-                    f"y_{j} occurs at layer {lo}, below the cut {prev} forced "
-                    f"by y_{provenance}",
-                )
-            if hi >= prev + 1:
-                cuts.append(hi)
-                provenance = j
-            else:
-                cuts.append(prev + 1)
-        else:
-            cuts.append(prev + 1)
-    return ReadOnceCertificate(tuple(cuts))
+        layers = occurrences.get(j, [cuts[-1]])
+        if layers[0] < cuts[-1]:
+            return None
+        cuts.append(max(layers[-1], cuts[-1] + 1))
+    return tuple(cuts)
 
 
 def stagger(p: BranchingProgram) -> BranchingProgram:
@@ -540,12 +509,12 @@ def stagger(p: BranchingProgram) -> BranchingProgram:
     (j, -1), since the certificate's cuts rise by at least one per variable.
     """
     upto = _check_increasing_reads(p, "order-property-violated")
-    if isinstance(check_read_once_certified(p), ReadOnceCertificate):
+    if check_read_once_certified(p) is not None:
         return p
     if p.sink not in upto:
         # No accepting path at all; the empty program preserves every count.
         return validate_bp([[0], [1]], {}, [], p.num_x, p.num_y, 0, 1)
-    layer = p.layer_of()
+    layer = {v: i for i, nodes in enumerate(p.layers) for v in nodes}
     slot = {u: (max(upto[u], 1), layer[u]) for u in upto if u != p.sink}
     order = sorted(set(slot.values()) | {(j, -1) for j in range(1, p.num_y + 1)})
     position = {s: i for i, s in enumerate(order, 1)}
@@ -557,5 +526,5 @@ def stagger(p: BranchingProgram) -> BranchingProgram:
     staggered = validate_bp(layers, {u: label for u, label in p.labels if u in slot},
                             edges + [(source, p.source, None)],
                             p.num_x, p.num_y, source, p.sink)
-    assert isinstance(check_read_once_certified(staggered), ReadOnceCertificate)
+    assert check_read_once_certified(staggered) is not None
     return staggered

@@ -6,7 +6,8 @@ y_1..y_numY.  Nodes sit in layers; every edge goes to a strictly later
 layer and carries the bit value of the departed node's variable (``None``
 for forced pass-through nodes, which every input follows).  Acceptance and
 the counts, with the read-order check of the fast count, live in ``bp``;
-read-once certification and ``stagger`` in ``oracles``.
+the read-once band check and ``stagger``, which no count needs, in
+``oracles``.
 """
 from __future__ import annotations
 
@@ -39,9 +40,6 @@ class BranchingProgram(Record):
 
     def label_of(self, node: int) -> Label:
         return self.label_map.get(node, ("pass",))
-
-    def layer_of(self) -> dict[int, int]:
-        return {v: i for i, layer in enumerate(self.layers) for v in layer}
 
     def out_edges(self) -> dict[int, list[tuple[int, int | None]]]:
         """Node -> [(successor, bit)], built once; callers must not mutate it."""

@@ -2,6 +2,7 @@
 enumerator, at a scale the enumerator cannot reach, and under the budget."""
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -104,18 +105,63 @@ def layers_through_zero(layers):
     return DirectedGraph(2 * layers + 1, tuple(edges))
 
 
+def looped_forks(m):
+    """Vertex 3i, without a self-loop, forks to 3i + 1 and 3i + 2, which carry
+    self-loops and both lead on to 3i + 3, and the last fork back to 0:
+    2^m cycles through vertex 0, each holding every loopless vertex, so no
+    prune cuts them."""
+    n = 3 * m
+    edges = [e for i in range(0, n, 3) for e in ((i, i + 1), (i, i + 2), (i + 1, i + 1),
+             (i + 1, (i + 3) % n), (i + 2, i + 2), (i + 2, (i + 3) % n))]
+    return DirectedGraph(n, tuple(edges))
+
+
+# 0 -> 1 -> 3 -> 0 is the one cycle of k * a = 3 vertices; 0 -> 1 -> 2 -> 3 -> 0
+# is one vertex too long, and 4 -> 1 -> 3 -> 0 puts 4 one edge past the reach
+# of head 0's backward search.
+CHORD = DirectedGraph(5, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (3, 0),
+                          (4, 4), (4, 1)))
+
+
 @pytest.mark.parametrize("g, a, k, steps, count", [
-    # 60 heads, 30 second vertices, 1 + 30 + 435 combinations, and 30 + 435
+    # 60 heads and the 30 vertices their backward searches reach (2i + 1 from
+    # head 2i), 30 second vertices, 1 + 30 + 435 combinations, and 30 + 435
     # candidate cycles looked at.
-    (loops_and_two_cycles(60), 2, 2, 1021, 435),
-    # The search: 1 + 510 states from head 0, and 2 * (1 + 2^(9-i) - 2) from
-    # the two heads of layer i, 1 515 in all.  Then 1 + 256 combinations, 256
-    # cycles looked at from the start, and one step from each of 255 choices to
-    # pass the other cycles at the covered head 0, where looking at each of
-    # them would take about 2^15 steps.
-    (layers_through_zero(8), 1, 17, 2283, 0),
+    (loops_and_two_cycles(60), 2, 2, 1051, 435),
+    # Head 0's backward search reaches all 17 vertices; either first move
+    # strands the other vertex of layer 1, whose one predecessor is 0: 2
+    # states.  Each of the 16 heads above 0 reaches only itself, since every
+    # edge into it comes from below, and enters nothing.  Then 1 combination.
+    (layers_through_zero(8), 1, 17, 36, 0),
+    # Head 0's backward search reaches all 24 vertices, and its search enters
+    # 2 + 2 + 4 + 4 + ... + 256 = 764 states (510 fork successors, 254 forks).
+    # The 23 heads above 0 reach only themselves.  Then 1 + 256 combinations,
+    # 256 cycles looked at from the start, and one step from each of 255
+    # choices to pass the other cycles at the covered head 0, where looking at
+    # each of them would take about 2^15 steps.
+    (looped_forks(8), 1, 17, 1579, 0),
+    # Head 0 reaches 0, 3, 1 and 2 (4 is at distance 3) and enters 1 and 3,
+    # but not 2 from 1; heads 1 to 4 reach 2, 1, 1 and 1 vertices and enter
+    # nothing.  Then 1 + 1 combinations and 1 cycle looked at.
+    (CHORD, 3, 1, 14, 1),
+    # 2^19 cycles run through vertex 0, but either first move strands the
+    # other vertex of layer 1, and no vertex above 0 reaches back to its own
+    # head: 39 + 38 backward-search vertices, 2 states and 1 combination.
+    (layers_through_zero(19), 3, 13, 80, 0),
 ])
 def test_every_search_step_is_charged(g, a, k, steps, count):
     assert count_cycle_cover2_cnf(g, EdgeCNF.empty(), a, k, steps) == count
     with pytest.raises(LimitExceeded):
         count_cycle_cover2_cnf(g, EdgeCNF.empty(), a, k, steps - 1)
+
+
+def test_nineteen_layers_through_one_vertex_count_in_milliseconds():
+    # None of the 2^19 cycles through vertex 0 is listed (see the charged
+    # steps above), so the count is quick.
+    g = layers_through_zero(19)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert count_cycle_cover2_cnf(g, EdgeCNF.empty(), 3, 13) == 0
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.010

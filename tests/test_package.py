@@ -72,7 +72,7 @@ def test_names_moved_to_oracles_resolve_where_they_were_defined(monkeypatch):
     assert pdet.eta is traced
     monkeypatch.undo()
     assert pdet.eta is oracles.eta and "eta" not in vars(pdet)
-    for module, name in ((graphs, "cycles_of"), (pdet, "Clow"), (bp, "Refusal"), (graphs, "eta"),
+    for module, name in ((graphs, "cycles_of"), (pdet, "Clow"), (bp, "ClowSequence"), (graphs, "eta"),
                          (fo, "Vocabulary"), (fo, "RelationalStructure"), (cnf, "no_such_name")):
         with pytest.raises(AttributeError):  # each module resolves only its own entries
             getattr(module, name)
