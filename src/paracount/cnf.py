@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import CountingError, Record, read_int
-from .walks import ceil_log2, _check_degree_bound, check_vertex, propagate
+from .walks import _check_degree_bound, check_vertex, log_gate_passes, propagate
 
 # `DirectedGraph` appears only in annotations, never evaluated.
 
@@ -71,13 +71,16 @@ def _dimacs_int(token: str) -> int:
 
 
 def parse_dimacs(text: str) -> EdgeCNF:
-    """Parse DIMACS cnf text (comments and the p-line are tolerated)."""
+    """Parse DIMACS cnf text (comments and the p-line are tolerated); a line
+    starting with ``%`` ends the input, as in the SATLIB files."""
     clauses: list[tuple[Literal, ...]] = []
     current: list[Literal] = []
     declared = None
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith(("c", "%")):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             header = line.split()
@@ -120,7 +123,7 @@ def eval_cnf(cnf: EdgeCNF, assignment: Mapping[int, int]) -> bool:
 
 
 def reach2cnf_gate_passes(g: DirectedGraph, cnf: EdgeCNF, a: int, k: int) -> bool:
-    return a <= k * ceil_log2(g.n + cnf.size())
+    return log_gate_passes(a, k, g.n + cnf.size())
 
 
 def count_log_reach2_cnf(

@@ -12,17 +12,17 @@ every cover.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import or_
 
 from .cnf import EdgeCNF, _successor_choices, eval_cnf, validate_cnf_for_graph
 from .errors import DEFAULT_LIMIT, CountingError, check_limit
-from .walks import _check_degree_bound, ceil_log2
+from .walks import _check_degree_bound, log_gate_passes
 
 # `DirectedGraph` appears only in annotations, never evaluated.
 
 
 def cyclecover_gate_passes(g: DirectedGraph, cnf: EdgeCNF, a: int) -> bool:
-    size_g = g.n + len(g.edges)
-    return a <= ceil_log2(size_g + cnf.size())
+    return log_gate_passes(a, 1, g.n + len(g.edges) + cnf.size())
 
 
 def _cycles(g: DirectedGraph, longest: int, charge) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -137,6 +137,8 @@ def count_cycle_cover2_cnf(
     for head, _, _ in cycles:
         after[head] += 1
     after = list(accumulate(after))
+    # reach[i]: the vertices on cycles i, i + 1, ...; reach[len(cycles)] is 0
+    reach = list(accumulate(reversed([mask for _, mask, _ in cycles]), or_, initial=0))[::-1]
     relevant = [(e, g.edges[e]) for e in cnf.variables()]
     total = 0
     # (next cycle to try, covered vertices, cycle vertices still to choose, cycles
@@ -151,8 +153,9 @@ def count_cycle_cover2_cnf(
             assignment = {e: int(e in chosen if u != v else not covered >> u & 1)
                           for e, (u, v) in relevant}
             total += eval_cnf(cnf, assignment)
-        elif left and allowed:
-            # A cycle holds no vertex below its head, so once the heads pass the
+        elif left and allowed and not uncovered & ~reach[start]:
+            # Each uncovered loopless vertex lies on some cycle still to try.  A
+            # cycle holds no vertex below its head, so once the heads pass the
             # least uncovered loopless vertex, nothing can cover it.
             end = after[(uncovered & -uncovered).bit_length() - 1] if uncovered else len(cycles)
             i = start

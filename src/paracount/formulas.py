@@ -59,21 +59,27 @@ _CONNECTIVES = {"and", "or", "not"}
 _Path = tuple[tuple[str, int, int], ...]  # (op, child position, child count), root first
 
 
-class QFFormula:
+class QFFormula(Record):
     """A validated quantifier-free formula: its atoms in depth-first order,
     each atom's ancestor ``path`` and each variable's first and last atom
-    (``spans``, in first-occurrence order), from one iterative walk."""
+    (``spans``, in first-occurrence order), from one iterative walk.  Only
+    the root is compared; the rest is derived from it."""
+
+    _fields = ("root",)
+    __slots__ = (*_fields, "size", "atoms", "paths", "spans", "free_variables")
+    root: Node
+    size: int  # syntax-tree nodes: connectives plus atoms
+    atoms: list[Atom | Eq]
+    paths: list[_Path]
+    spans: dict[str, tuple[int, int]]
+    free_variables: tuple[str, ...]
 
     def __init__(self, root: Node):
-        self.root = root
-        self.size = 0  # syntax-tree nodes: connectives plus atoms
-        self.atoms: list[Atom | Eq] = []
-        self.paths: list[_Path] = []
-        self.spans: dict[str, tuple[int, int]] = {}
+        size, atoms, paths, spans = 0, [], [], {}
         stack: list[tuple[Node, _Path]] = [(root, ())]
         while stack:
             node, path = stack.pop()
-            self.size += 1
+            size += 1
             if isinstance(node, Connective):
                 if node.op not in _CONNECTIVES:
                     raise CountingError("bad-connective", f"unknown op {node.op!r}")
@@ -87,16 +93,17 @@ class QFFormula:
                 for pos in reversed(range(count)):
                     stack.append((node.children[pos], (*path, (node.op, pos, count))))
             elif isinstance(node, (Atom, Eq)):
-                idx = len(self.atoms)
-                self.atoms.append(node)
-                self.paths.append(path)
+                idx = len(atoms)
+                atoms.append(node)
+                paths.append(path)
                 for var in atom_variables(node):
-                    self.spans[var] = (self.spans.get(var, (idx,))[0], idx)
+                    spans[var] = (spans.get(var, (idx,))[0], idx)
             else:
                 raise CountingError("bad-node", f"unsupported node {node!r}")
-        if not self.atoms:
+        if not atoms:
             raise CountingError("no-atoms", "formula has no atoms")
-        self.free_variables: tuple[str, ...] = tuple(self.spans)
+        self._set(root=root, size=size, atoms=atoms, paths=paths, spans=spans,
+                  free_variables=tuple(spans))
 
 
 def _atom_terms(atom: Atom | Eq) -> tuple[Term, ...]:

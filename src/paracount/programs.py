@@ -140,15 +140,16 @@ def bp_from_json(obj: dict) -> BranchingProgram:
         node = str(key)
         if not (node.removeprefix("-").isdecimal() and str(int(node)) == node):
             raise CountingError("not-an-integer", f"label node {key!r} is not an integer")
-        read_fields(label, f"label {key}", (), label)
-        if "x" in label:
-            labels[int(node)] = ("x", label["x"])
-        elif "y" in label:
-            labels[int(node)] = ("y", label["y"])
-        elif label.get("pass"):
-            labels[int(node)] = ("pass",)
-        else:
+        # A label is exactly one of {"x": i}, {"y": j} and {"pass": true}.
+        what = f"label {key}"
+        read_fields(label, what, (), label)
+        kinds = [kind for kind in ("x", "y", "pass") if kind in label]
+        if len(kinds) != 1 or label.get("pass", True) is not True:
             raise CountingError("bad-label", f"label {label!r}")
+        if len(label) > 1:  # a key beside the one kind is an unknown field
+            read_fields(label, what, kinds)
+        kind = kinds[0]
+        labels[int(node)] = (kind,) if kind == "pass" else (kind, label[kind])
     # `validate_bp` refuses every id, width and label index that is not an int.
     return validate_bp(
         [read_array(layer, "layer") for layer in read_array(obj["layers"], '"layers"')],

@@ -4,7 +4,7 @@ transform, plus a generic preservation verifier.
 A record names a transform of ``transforms``, checks the bound on its
 target parameter and reads and writes its instance files.
 ``verify_parsimonious`` replays a batch of instances through a transform
-and both counting routes and reports every disagreement instead of raising.
+and both counting routes and returns every disagreement instead of raising.
 """
 from __future__ import annotations
 
@@ -41,47 +41,35 @@ class ReductionRecord(Record):
     param_of: Callable[[tuple], int]
 
 
-class ParsimonyReport:
-    def __init__(self, reduction: str):
-        self.reduction = reduction
-        self.rows: list[dict] = []
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r["counts_equal"] and r["bound_ok"] for r in self.rows)
-
-    def failures(self) -> list[dict]:
-        return [r for r in self.rows if not (r["counts_equal"] and r["bound_ok"])]
-
-
 def verify_parsimonious(
     red: ReductionRecord,
     instances: Sequence,
     source_oracle: Callable,
     target_oracle: Callable,
-) -> ParsimonyReport:
+) -> list[dict]:
     """Replay instances through the transform and both counting routes.
 
     ``source_oracle`` maps a source instance to its count; ``target_oracle``
     maps the transform's output (including k' and any recovery data) to the
-    recovered count.  Disagreements are report rows, not exceptions.
+    recovered count.  Returns the rows whose counts differ or whose k' breaks
+    the bound, an empty list when the reduction passes; disagreements are
+    rows, not exceptions.
     """
-    report = ParsimonyReport(red.name)
+    failures = []
     for idx, instance in enumerate(instances):
         transformed = red.transform(instance)
-        k_prime = red.param_of(transformed)
         source_count = source_oracle(instance)
         target_count = target_oracle(transformed)
-        report.rows.append(
-            {
-                "instance": idx,
-                "source_count": source_count,
-                "target_count": target_count,
-                "counts_equal": source_count == target_count,
-                "bound_ok": red.bound_ok(instance, k_prime),
-            }
-        )
-    return report
+        row = {
+            "instance": idx,
+            "source_count": source_count,
+            "target_count": target_count,
+            "counts_equal": source_count == target_count,
+            "bound_ok": red.bound_ok(instance, red.param_of(transformed)),
+        }
+        if not (row["counts_equal"] and row["bound_ok"]):
+            failures.append(row)
+    return failures
 
 
 def _read_hom(obj) -> tuple:

@@ -600,27 +600,23 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
     records = redm.standard_records()
     count = scale.parsimony_instances
 
+    def replay(name: str, instances: list, source_oracle, target_oracle) -> None:
+        rows = redm.verify_parsimonious(records[name], instances, source_oracle, target_oracle)
+        failures.extend(f"{name}: {row}" for row in rows)
+
     hom_instances = []
     for _ in range(count):
         n = rng.randint(2, 4)
         hom_instances.append((n, rand_path_star_target(rng, n), n + rng.randint(0, 2)))
-    report = redm.verify_parsimonious(
-        records["hom-to-reach"],
+    replay(
+        "hom-to-reach",
         hom_instances,
         lambda inst: homm.count_hom_oracle(homm.make_path_star(inst[0]).structure, inst[1]),
         lambda out: wkm.count_reach(out[0], out[1], out[2], out[3]),
     )
-    failures += [f"hom-to-reach: {row}" for row in report.failures()]
-
     colour_instances = [rand_coloured_instance(rng) for _ in range(count)]
-
-    report = redm.verify_parsimonious(
-        records["reachcolour-to-hom"],
-        colour_instances,
-        colour_walks,
-        lambda out: homm.count_hom_oracle(out[0].structure, out[1]),
-    )
-    failures += [f"reachcolour-to-hom: {row}" for row in report.failures()]
+    replay("reachcolour-to-hom", colour_instances, colour_walks,
+           lambda out: homm.count_hom_oracle(out[0].structure, out[1]))
 
     mc_instances = []
     for _ in range(count):
@@ -630,13 +626,8 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
         mc_instances.append(
             (g, rng.randrange(g.n), rng.randrange(g.n), rng.randint(2, 5))
         )
-    report = redm.verify_parsimonious(
-        records["reach-to-mc"],
-        mc_instances,
-        st_walks,
-        lambda out: fom.count_mc(out[0], out[1], out[2]),
-    )
-    failures += [f"reach-to-mc: {row}" for row in report.failures()]
+    replay("reach-to-mc", mc_instances, st_walks,
+           lambda out: fom.count_mc(out[0], out[1], out[2]))
     for inst in mc_instances[: max(1, count // 5)]:
         phi, _, _ = reduce_reach_to_mc(*inst)
         if locality_radius(phi) != 1 or max_arity(phi) != 2:
@@ -647,13 +638,8 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
         g = rand_dag(rng, 6)
         s, t = rng.sample(range(g.n), 2)
         pdet_instances.append((g, s, t, rng.randint(1, min(5, g.n))))
-    report = redm.verify_parsimonious(
-        records["reach-to-pdet"],
-        pdet_instances,
-        st_walks,
-        lambda out: out[2] * pdm.pdet_direct(out[0], out[1]),
-    )
-    failures += [f"reach-to-pdet: {row}" for row in report.failures()]
+    replay("reach-to-pdet", pdet_instances, st_walks,
+           lambda out: out[2] * pdm.pdet_direct(out[0], out[1]))
 
     # A deliberately corrupted transform must be caught (mutation test).
     broken = redm.ReductionRecord(
@@ -663,13 +649,9 @@ def check_reductions(rng: random.Random, scale: Scale) -> list[str]:
         records["reach-to-mc"].read, records["reach-to-mc"].write,
     )
     probe = [(DirectedGraph(3, ((0, 1), (1, 2))), 0, 2, 3)]
-    report = redm.verify_parsimonious(
-        broken,
-        probe,
-        st_walks,
-        lambda out: wkm.count_reach(out[0], out[1], out[2], out[3]),
-    )
-    if report.all_pass:
+    if not redm.verify_parsimonious(
+        broken, probe, st_walks, lambda out: wkm.count_reach(out[0], out[1], out[2], out[3])
+    ):
         failures.append("verifier failed to flag a corrupted transform")
     return failures
 

@@ -27,8 +27,17 @@ class Vocabulary(Record):
                 raise CountingError("bad-arity", f"relation {name} has arity {arity}")
 
 
-class RelationalStructure:
-    """Finite structure: universe {0, ..., universe_size-1} plus interpretations."""
+class RelationalStructure(Record):
+    """Finite structure: universe {0, ..., universe_size-1} plus interpretations.
+
+    The interpretation is a dict, so a structure compares by value but has
+    no hash."""
+
+    __slots__ = _fields = ("vocab", "universe_size", "interpretation", "constant_values")
+    vocab: Vocabulary
+    universe_size: int
+    interpretation: dict[str, frozenset[tuple[int, ...]]]
+    constant_values: dict[str, int]
 
     def __init__(
         self,
@@ -39,10 +48,8 @@ class RelationalStructure:
     ):
         if universe_size < 1:
             raise CountingError("empty-universe", "universe must be nonempty")
-        self.vocab = vocab
-        self.universe_size = universe_size
         declared = dict(vocab.relations)
-        self.interpretation: dict[str, frozenset[tuple[int, ...]]] = {}
+        relations = {}
         for name in interpretation:
             if name not in declared:
                 raise CountingError(
@@ -62,7 +69,7 @@ class RelationalStructure:
                         "element-out-of-range", f"tuple {tup} outside universe"
                     )
                 tuples.add(tup)
-            self.interpretation[name] = frozenset(tuples)
+            relations[name] = frozenset(tuples)
         constant_values = dict(constant_values or {})
         for name in constant_values:
             if name not in vocab.constants:
@@ -79,22 +86,8 @@ class RelationalStructure:
                 raise CountingError(
                     "element-out-of-range", f"constant {name} = {value}"
                 )
-        self.constant_values = constant_values
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RelationalStructure)
-            and self.vocab == other.vocab
-            and self.universe_size == other.universe_size
-            and self.interpretation == other.interpretation
-            and self.constant_values == other.constant_values
-        )
-
-    def __repr__(self):
-        return (
-            f"RelationalStructure(universe={self.universe_size}, "
-            f"relations={sorted(self.interpretation)})"
-        )
+        self._set(vocab=vocab, universe_size=universe_size, interpretation=relations,
+                  constant_values=constant_values)
 
 
 def structure_from_json(obj: dict) -> RelationalStructure:

@@ -600,6 +600,12 @@ FALLING_READ = {"layers": [[0], [1], [2]], "labels": {"0": {"y": 2}, "1": {"y": 
      ("bp", "--program", "@in", "--x", "1")),
     ("bad-label", json.dumps({**PROGRAM, "labels": {"0": {"z": 1}}}),
      ("bp", "--program", "@in", "--x", "1")),
+    # A label is exactly one of {"x": i}, {"y": j} and {"pass": true}.
+    *((code, json.dumps({**PROGRAM, "labels": {"0": label}}),
+       ("bp", "--program", "@in", "--x", "1"))
+      for code, label in (("bad-label", {"x": 1, "y": 1}), ("bad-label", {"pass": True, "x": 1}),
+                          ("unknown-field", {"y": 1, "colour": "red"}),
+                          ("bad-label", {"pass": "yes"}), ("bad-label", {"pass": 1}))),
     ("duplicate-symbol",
      json.dumps({**STRUCTURE, "vocabulary": {"relations": [["E", 2]], "constants": ["E"]}}),
      ("mc", "--formula", "@phi", "--structure", "@in", "--k", "1")),

@@ -77,6 +77,19 @@ def test_dimacs_parse():
     assert phi.size() == 2 + 4
 
 
+def test_dimacs_percent_line_ends_the_input():
+    # SATLIB files end with "%" and a stray "0", which is no empty clause.
+    want = EdgeCNF.from_dimacs_literals([[1, -2]])
+    assert parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n") == want
+    assert parse_dimacs("1 -2 0\n%\n0\n") == want
+    assert parse_dimacs("c a comment\n1 -2 0\n  % trailer\n3 0\n") == want
+    # The header still counts the clauses before the "%", and every other check stays.
+    with pytest.raises(CountingError, match="header declares 2 clauses, found 1"):
+        parse_dimacs("p cnf 2 2\n1 -2 0\n%\n3 0\n")
+    with pytest.raises(CountingError, match="malformed-dimacs"):
+        parse_dimacs("p cnf 2 1\n1 x 0\n%\n")
+
+
 def test_dimacs_parse_reads_each_literal_once(monkeypatch):
     rng = random.Random(23)
     clauses = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 4))]

@@ -148,6 +148,12 @@ CHORD = DirectedGraph(5, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)
     # other vertex of layer 1, and no vertex above 0 reaches back to its own
     # head: 39 + 38 backward-search vertices, 2 states and 1 combination.
     (layers_through_zero(19), 3, 13, 80, 0),
+    # The 400 vertices of loops_and_two_cycles(400) give 400 + 200 backward-
+    # search vertices and 200 second vertices, and the 401st vertex, with no
+    # edge at all, is its own head's one backward-search vertex.  It lies on
+    # no listed cycle, so the first combination is the last: 802 steps, where
+    # trying every pair of the 200 cycles took 41 002.
+    (DirectedGraph(401, loops_and_two_cycles(400).edges), 2, 2, 802, 0),
 ])
 def test_every_search_step_is_charged(g, a, k, steps, count):
     assert count_cycle_cover2_cnf(g, EdgeCNF.empty(), a, k, steps) == count

@@ -1,18 +1,19 @@
 """errors.Record, the base of every value type: equality, hash, immutability,
-repr, construction, copying and pickling."""
+repr, construction, copying and pickling, structures and formulas included."""
 import copy
 import pickle
 
 import pytest
 
-from paracount.errors import CountingError
-from paracount.formulas import Atom, ConstRef, Var
+from paracount.errors import CountingError, Record
+from paracount.fo import formula_from_json, formula_node_to_json
+from paracount.formulas import Atom, Connective, ConstRef, Eq, QFFormula, Var
 from paracount.graphs import DirectedGraph, VertexColouring
 from paracount.oracles import Clow
 from paracount.programs import validate_bp
 from paracount.reductions import ReductionRecord
 from paracount.selftest import SMOKE, Scale
-from paracount.structures import Vocabulary
+from paracount.structures import RelationalStructure, Vocabulary
 
 
 def program(*, edge_order=1):
@@ -97,3 +98,55 @@ def test_records_copy_and_pickle_with_their_derived_slots():
             assert twin == record and repr(twin) == repr(record)
     assert copy.deepcopy(colouring).m == 2
     assert pickle.loads(pickle.dumps(program())).out_edges() == program().out_edges()
+
+
+def structure():
+    vocab = Vocabulary((("E", 2),), ("c",))
+    return RelationalStructure(vocab, 3, {"E": [[0, 1], (1, 2)]}, {"c": 2})
+
+
+def formula():
+    return QFFormula(Connective("and", (Atom("E", (Var("x"), Var("y"))),
+                                        Eq(Var("y"), ConstRef("c")))))
+
+
+def test_structures_and_formulas_are_records_that_refuse_rebinding():
+    s, phi = structure(), formula()
+    assert isinstance(s, Record) and isinstance(phi, Record)
+    for value, name in ((s, "universe_size"), (s, "interpretation"), (phi, "size"),
+                        (phi, "atoms"), (phi, "root")):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+        assert getattr(value, name) == before
+    assert s.universe_size == 3 and phi.size == 3
+    assert not hasattr(s, "__dict__") and not hasattr(phi, "__dict__")
+
+
+def test_equal_inputs_give_equal_structures_and_formulas():
+    s = structure()
+    assert s == structure() and s is not structure()
+    assert s.interpretation == {"E": frozenset({(0, 1), (1, 2)})}
+    assert s != RelationalStructure(s.vocab, 3, {"E": [(0, 1)]}, {"c": 2})
+    assert s != RelationalStructure(s.vocab, 4, {"E": [(0, 1), (1, 2)]}, {"c": 2})
+    with pytest.raises(TypeError):
+        hash(s)  # the interpretation is a dict
+    doc = formula_node_to_json(formula().root)
+    phi, twin = formula_from_json(doc), formula_from_json(doc)
+    assert phi == twin == formula() and hash(phi) == hash(twin)
+    assert phi != QFFormula(Atom("E", (Var("x"), Var("y"))))
+    assert QFFormula(root=phi.root) == phi
+    assert repr(phi) == f"QFFormula(root={phi.root!r})"
+
+
+def test_structures_and_formulas_copy_and_pickle_with_their_derived_slots():
+    s, phi = structure(), formula()
+    for twin in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+        assert twin == phi and repr(twin) == repr(phi)
+        assert (twin.size, twin.atoms, twin.paths, twin.spans, twin.free_variables) == (
+            phi.size, phi.atoms, phi.paths, phi.spans, phi.free_variables)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and repr(twin) == repr(s)
+        assert twin.constant_values == {"c": 2}

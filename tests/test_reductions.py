@@ -191,14 +191,20 @@ def test_verifier_all_pass_and_bounds():
     for _ in range(20):
         g = rand_graph(rng, 5)
         instances.append((g, rng.randrange(g.n), rng.randrange(g.n), rng.randint(2, 4)))
-    report = verify_parsimonious(
+    replayed = []
+
+    def source_count(inst):
+        replayed.append(inst)
+        return len(enumerate_walks(inst[0], inst[1], inst[2], inst[3] - 1))
+
+    failures = verify_parsimonious(
         records["reach-to-mc"],
         instances,
-        lambda inst: len(enumerate_walks(inst[0], inst[1], inst[2], inst[3] - 1)),
+        source_count,
         lambda out: count_mc(out[0], out[1], out[2]),
     )
-    assert report.all_pass
-    assert len(report.rows) == 20
+    assert failures == []
+    assert replayed == instances
 
 
 def test_verifier_detects_corruption():
@@ -213,11 +219,13 @@ def test_verifier_detects_corruption():
         standard_records()["reach-to-mc"].write,
     )
     probe = [(DirectedGraph(3, ((0, 1), (1, 2))), 0, 2, 3)]
-    report = verify_parsimonious(
+    failures = verify_parsimonious(
         broken,
         probe,
         lambda inst: len(enumerate_walks(inst[0], inst[1], inst[2], inst[3] - 1)),
         lambda out: target_count(out[0], out[1], out[2], out[3]),
     )
-    assert not report.all_pass
-    assert report.failures()
+    assert len(failures) == 1
+    row = failures[0]
+    assert row["instance"] == 0 and not row["counts_equal"]
+    assert row["source_count"] == 1 != row["target_count"]
