@@ -600,12 +600,6 @@ FALLING_READ = {"layers": [[0], [1], [2]], "labels": {"0": {"y": 2}, "1": {"y": 
      ("bp", "--program", "@in", "--x", "1")),
     ("bad-label", json.dumps({**PROGRAM, "labels": {"0": {"z": 1}}}),
      ("bp", "--program", "@in", "--x", "1")),
-    # A label is exactly one of {"x": i}, {"y": j} and {"pass": true}.
-    *((code, json.dumps({**PROGRAM, "labels": {"0": label}}),
-       ("bp", "--program", "@in", "--x", "1"))
-      for code, label in (("bad-label", {"x": 1, "y": 1}), ("bad-label", {"pass": True, "x": 1}),
-                          ("unknown-field", {"y": 1, "colour": "red"}),
-                          ("bad-label", {"pass": "yes"}), ("bad-label", {"pass": 1}))),
     ("duplicate-symbol",
      json.dumps({**STRUCTURE, "vocabulary": {"relations": [["E", 2]], "constants": ["E"]}}),
      ("mc", "--formula", "@phi", "--structure", "@in", "--k", "1")),
@@ -630,6 +624,12 @@ FALLING_READ = {"layers": [[0], [1], [2]], "labels": {"0": {"y": 2}, "1": {"y": 
      ("bp", "--program", "@in", "--x", "", "--method", "fast")),
     *(("not-deterministic", json.dumps({**PROGRAM, "edges": [[0, 1, 1], [0, 1, 1]]}),
        ("bp", "--program", "@in", "--x", "1", "--method", method)) for method in ("acc", "fast")),
+    # A label is exactly one of {"x": i}, {"y": j} and {"pass": true}.
+    *((code, json.dumps({**PROGRAM, "labels": {"0": label}}),
+       ("bp", "--program", "@in", "--x", "1"))
+      for code, label in (("bad-label", {"x": 1, "y": 1}), ("bad-label", {"pass": True, "x": 1}),
+                          ("unknown-field", {"y": 1, "colour": "red"}),
+                          ("bad-label", {"pass": "yes"}), ("bad-label", {"pass": 1}))),
 ])
 def test_refusal_codes(tmp_path, capsys, code, text, argv):
     (tmp_path / "in.txt").write_text(text)
