@@ -142,21 +142,28 @@ def count_log_reach2_cnf(
         raise CountingError("negative-length", f"a = {a}")
     if not reach2cnf_gate_passes(g, cnf, a, k):
         return 0
-    # DP on (vertex, traversed CNF-relevant edges); only edges the formula
-    # mentions can influence satisfaction, the rest of the characteristic
-    # assignment is fixed by not being mentioned.
+    # DP on (step i, vertex, traversed CNF-relevant edges); only edges the
+    # formula mentions can influence satisfaction, the rest of the
+    # characteristic assignment is fixed by not being mentioned.  A move to v
+    # is kept only if v is in alive[a - i - 1], alive[j] being the vertices
+    # with a j-edge walk to t, so every state left after a moves is at t.
     relevant = cnf.variables()
     choices = _successor_choices(g)
+    alive = [{t}]
+    for _ in range(a):
+        alive.append({u for u in range(g.n) if any(v in alive[-1] for v, _ in choices[u])})
+    if s not in alive[a]:
+        return 0
 
     def step(state):
-        u, used = state
-        return [(v, used | {e} if e in relevant else used) for v, e in choices[u]]
+        i, u, used = state
+        ahead = alive[a - i - 1]
+        return [(i + 1, v, used | {e} if e in relevant else used)
+                for v, e in choices[u] if v in ahead]
 
-    states = propagate({(s, frozenset()): 1}, a, step)
+    states = propagate({(0, s, frozenset()): 1}, a, step)
     total = 0
-    for (u, used), cnt in states.items():
-        if u != t:
-            continue
+    for (_, _, used), cnt in states.items():
         assignment = {e: (1 if e in used else 0) for e in relevant}
         if eval_cnf(cnf, assignment):
             total += cnt

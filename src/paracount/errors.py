@@ -126,6 +126,26 @@ def read_fields(obj, what: str, required, optional=(), code: str = "malformed-in
     return obj
 
 
+class FrozenMap(dict):
+    """A dict whose contents are read-only, for the maps a Record holds.
+
+    Every mutator raises ``TypeError``; reads, equality and repr are the
+    dict's.  Like a dict it has no hash.  ``copy``, ``deepcopy`` and
+    ``pickle`` rebuild it from a plain dict of its items.  ``dict.__setitem__``
+    called on it still writes, as for any dict subclass.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} contents are read-only")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def read_int(value, what: str) -> int:
     """Return ``value`` if it is an int; refuse bools, floats and strings."""
     if isinstance(value, bool) or not isinstance(value, int):

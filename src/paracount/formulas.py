@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import CountingError, Record
+from .errors import CountingError, FrozenMap, Record
 
 # `RelationalStructure` appears only in annotations, never evaluated.
 
@@ -69,9 +69,9 @@ class QFFormula(Record):
     __slots__ = (*_fields, "size", "atoms", "paths", "spans", "free_variables")
     root: Node
     size: int  # syntax-tree nodes: connectives plus atoms
-    atoms: list[Atom | Eq]
-    paths: list[_Path]
-    spans: dict[str, tuple[int, int]]
+    atoms: tuple[Atom | Eq, ...]
+    paths: tuple[_Path, ...]
+    spans: FrozenMap  # variable -> (first atom, last atom)
     free_variables: tuple[str, ...]
 
     def __init__(self, root: Node):
@@ -102,8 +102,8 @@ class QFFormula(Record):
                 raise CountingError("bad-node", f"unsupported node {node!r}")
         if not atoms:
             raise CountingError("no-atoms", "formula has no atoms")
-        self._set(root=root, size=size, atoms=atoms, paths=paths, spans=spans,
-                  free_variables=tuple(spans))
+        self._set(root=root, size=size, atoms=tuple(atoms), paths=tuple(paths),
+                  spans=FrozenMap(spans), free_variables=tuple(spans))
 
 
 def _atom_terms(atom: Atom | Eq) -> tuple[Term, ...]:

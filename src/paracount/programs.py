@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .errors import CountingError, Record, read_array, read_fields, read_int
+from .errors import CountingError, FrozenMap, Record, read_array, read_fields, read_int
 
 Label = tuple  # ("x", i) | ("y", j) | ("pass",)
 
@@ -28,21 +28,22 @@ class BranchingProgram(Record):
     num_y: int
     source: int
     sink: int
-    label_map: dict[int, Label]
-    out_map: dict[int, list[tuple[int, int | None]]]
+    label_map: FrozenMap  # node -> label
+    out_map: FrozenMap  # node -> ((successor, bit), ...)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         out: dict = {}
         for u, v, bit in self.edges:
             out.setdefault(u, []).append((v, bit))
-        self._set(label_map=dict(self.labels), out_map=out)
+        self._set(label_map=FrozenMap(self.labels),
+                  out_map=FrozenMap((u, tuple(fanout)) for u, fanout in out.items()))
 
     def label_of(self, node: int) -> Label:
         return self.label_map.get(node, ("pass",))
 
-    def out_edges(self) -> dict[int, list[tuple[int, int | None]]]:
-        """Node -> [(successor, bit)], built once; callers must not mutate it."""
+    def out_edges(self) -> FrozenMap:
+        """Node -> ((successor, bit), ...), built once and read-only."""
         return self.out_map
 
     def nodes(self) -> list[int]:

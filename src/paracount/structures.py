@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import CountingError, Record, read_array, read_fields, read_int, read_name
+from .errors import (CountingError, FrozenMap, Record, read_array, read_fields, read_int,
+                     read_name)
 
 
 class Vocabulary(Record):
@@ -30,14 +31,14 @@ class Vocabulary(Record):
 class RelationalStructure(Record):
     """Finite structure: universe {0, ..., universe_size-1} plus interpretations.
 
-    The interpretation is a dict, so a structure compares by value but has
-    no hash."""
+    The interpretation and constant values are read-only dicts
+    (``FrozenMap``s), so a structure compares by value but has no hash."""
 
     __slots__ = _fields = ("vocab", "universe_size", "interpretation", "constant_values")
     vocab: Vocabulary
     universe_size: int
-    interpretation: dict[str, frozenset[tuple[int, ...]]]
-    constant_values: dict[str, int]
+    interpretation: FrozenMap  # relation name -> frozenset of tuples
+    constant_values: FrozenMap  # constant name -> element
 
     def __init__(
         self,
@@ -49,7 +50,7 @@ class RelationalStructure(Record):
         if universe_size < 1:
             raise CountingError("empty-universe", "universe must be nonempty")
         declared = dict(vocab.relations)
-        relations = {}
+        relations = []
         for name in interpretation:
             if name not in declared:
                 raise CountingError(
@@ -69,8 +70,8 @@ class RelationalStructure(Record):
                         "element-out-of-range", f"tuple {tup} outside universe"
                     )
                 tuples.add(tup)
-            relations[name] = frozenset(tuples)
-        constant_values = dict(constant_values or {})
+            relations.append((name, frozenset(tuples)))
+        constant_values = FrozenMap(constant_values or {})
         for name in constant_values:
             if name not in vocab.constants:
                 raise CountingError(
@@ -86,8 +87,8 @@ class RelationalStructure(Record):
                 raise CountingError(
                     "element-out-of-range", f"constant {name} = {value}"
                 )
-        self._set(vocab=vocab, universe_size=universe_size, interpretation=relations,
-                  constant_values=constant_values)
+        self._set(vocab=vocab, universe_size=universe_size,
+                  interpretation=FrozenMap(relations), constant_values=constant_values)
 
 
 def structure_from_json(obj: dict) -> RelationalStructure:

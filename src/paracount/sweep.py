@@ -50,20 +50,21 @@ def count_mc_local(
 
     Runs ``walks.propagate`` over states (atom index, assignment to the live
     variables, accumulators of the open and/or ancestors), one move per atom
-    in DFS order; the last atom's move lands on the formula's value, True or
-    False.  A variable becomes live at its first atom and is discharged after
-    its last, at most r atoms later as the formula is r-local; a state
-    therefore holds assignments to at most w*r variables, w the most distinct
-    variables in one atom (an equality binds two, whatever the arity a).
+    in DFS order.  A variable becomes live at its first atom and is
+    discharged after its last, at most r atoms later as the formula is
+    r-local; a state therefore holds assignments to at most w*r variables,
+    w the most distinct variables in one atom (an equality binds two,
+    whatever the arity a).
 
     A successor whose value the remaining atoms cannot change is decided: the
     formula is monotone in each atom occurrence's literal (its value, negated
     under an odd number of ``not``s), so feeding the remaining atoms all-low
-    and all-high bounds it.  Decided false is dropped; decided true goes to
-    the absorbing state ``(i, (), True)``, which makes |A|^(variables first
-    bound at atom i) copies of itself per move.  When the atom's being false
-    would decide false, a relational atom binds its fresh variables only to
-    the tuples that match its bound arguments, read from a lazy index.
+    and all-high bounds it.  Decided false is dropped.  Decided true leaves
+    the frontier as ``True`` and is counted once, as a product: the total
+    decided so far is multiplied by |A|^(variables first bound at atom i) at
+    each later atom i, so no decided state is stepped.  When the atom's being
+    false would decide false, a relational atom binds its fresh variables
+    only to the tuples that match its bound arguments, read from a lazy index.
     """
     actual_r = locality_radius(phi)
     if actual_r > r:
@@ -132,10 +133,6 @@ def count_mc_local(
     def step(state: tuple):
         idx, live_items, accs = state
         nxt = idx + 1
-        absorbed = True if idx == last else (nxt, (), True)
-        if accs is True:
-            yield from itertools.repeat(absorbed, size ** first_bound[idx])
-            return
         atom, live = atoms[idx], dict(live_items)
         fresh = [v for v in atom_variables(atom) if v not in live]
         after = {value: _feed(paths[idx], accs, value, opened[nxt]) for value in (False, True)}
@@ -146,7 +143,10 @@ def count_mc_local(
                 kept = (item for item in assignment.items() if spans[item[0]][1] > idx)
                 yield (nxt, tuple(sorted(kept)), after[value])
             elif verdict[value]:
-                yield absorbed
+                yield True
 
-    start = {(0, (), opened[0]): 1}
-    return propagate(start, len(atoms), step).get(True, 0)
+    frontier, done = {(0, (), opened[0]): 1}, 0
+    for idx in range(len(atoms)):
+        frontier = propagate(frontier, 1, step)
+        done = done * size ** first_bound[idx] + frontier.pop(True, 0)
+    return done

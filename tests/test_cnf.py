@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paracount.cnf import (
     EdgeCNF,
@@ -152,6 +154,35 @@ def test_reach2cnf_matches_filter_oracle():
         else:
             expected = 0
         assert count_log_reach2_cnf(g, s, t, phi, a, k) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 7), st.integers(1, 4))
+def test_reach2cnf_pruned_to_live_states_matches_filter_oracle(rng, a, k):
+    g = rand_degree2_graph(rng, max_n=8)
+    s, t, phi = rng.randrange(g.n), rng.randrange(g.n), rand_cnf(rng, g)
+    expected = sum(
+        1
+        for w in enumerate_walks(g, s, t, a)
+        if eval_cnf(phi, characteristic_assignment(g, walk_edges(g, w)))
+    ) if reach2cnf_gate_passes(g, phi, a, k) else 0
+    assert count_log_reach2_cnf(g, s, t, phi, a, k) == expected
+
+
+def test_reach2cnf_negative_units_match_the_graph_without_their_edges():
+    # On the de Bruijn graph u -> 2u, 2u + 1 (mod 1024) every vertex reaches
+    # every other in 10 steps, so only the walks that can still end at t in
+    # the steps left keep the frontier small.  Forbidding 100 edges by unit
+    # clauses counts what the walk counter counts on the graph without them;
+    # a = 20, k = 2 passes both gates (20 <= 2 * 10 and 2 * 11).
+    n, a, k = 1024, 20, 2
+    g = validate_graph(n, [(u, (2 * u + b) % n) for u in range(n) for b in (0, 1)])
+    forbidden = set(random.Random(23).sample(range(len(g.edges)), 100))
+    phi = EdgeCNF.from_dimacs_literals([[-(e + 1)] for e in sorted(forbidden)])
+    rest = validate_graph(n, [edge for e, edge in enumerate(g.edges) if e not in forbidden])
+    expected = count_log_reach_b(rest, 5, 700, a, k, 2)
+    assert expected > 0
+    assert count_log_reach2_cnf(g, 5, 700, phi, a, k) == expected
 
 
 def test_enumerate_cycle_covers_examples():

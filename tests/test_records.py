@@ -5,8 +5,9 @@ import pickle
 
 import pytest
 
-from paracount.errors import CountingError, Record
-from paracount.fo import formula_from_json, formula_node_to_json
+from paracount.bp import bp_count_acc
+from paracount.errors import CountingError, FrozenMap, Record
+from paracount.fo import count_mc, formula_from_json, formula_node_to_json
 from paracount.formulas import Atom, Connective, ConstRef, Eq, QFFormula, Var
 from paracount.graphs import DirectedGraph, VertexColouring
 from paracount.oracles import Clow
@@ -150,3 +151,38 @@ def test_structures_and_formulas_copy_and_pickle_with_their_derived_slots():
     for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
         assert twin == s and repr(twin) == repr(s)
         assert twin.constant_values == {"c": 2}
+
+
+def test_frozen_maps_refuse_every_mutator_and_keep_their_items():
+    m = FrozenMap({"a": 1})
+    for name, args in (("__setitem__", ("b", 2)), ("__delitem__", ("a",)), ("clear", ()),
+                       ("pop", ("a",)), ("popitem", ()), ("setdefault", ("b", 2)),
+                       ("update", ({"b": 2},)), ("__ior__", ({"b": 2},))):
+        with pytest.raises(TypeError, match="read-only"):
+            getattr(m, name)(*args)
+    assert m == {"a": 1} and repr(m) == "{'a': 1}"
+    with pytest.raises(TypeError):
+        hash(m)
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(twin) is FrozenMap and twin == m
+
+
+def test_record_contents_are_read_only_so_counts_cannot_drift():
+    s = RelationalStructure(Vocabulary((("E", 2),), ("c",)), 2, {"E": [(0, 1), (1, 0)]}, {"c": 0})
+    phi, p = QFFormula(Atom("E", (Var("x"), Var("y")))), program()
+    counts = count_mc(phi, s, phi.size), bp_count_acc(p, ())
+    assert counts == (2, 2)
+    edits = (
+        (s.interpretation, "E", frozenset({(0, 1), (1, 0), (0, 0)})),
+        (s.constant_values, "c", 1),
+        (phi.atoms, 0, Eq(Var("x"), Var("x"))),
+        (phi.paths, 0, (("not", 0, 1),)),
+        (phi.spans, "y", (0, 0)),
+        (p.label_map, 0, ("pass",)),
+        (p.out_map, 1, ()),
+        (p.out_map[0], 0, (2, 1)),
+    )
+    for container, key, value in edits:
+        with pytest.raises(TypeError):
+            container[key] = value
+    assert (count_mc(phi, s, phi.size), bp_count_acc(p, ())) == counts

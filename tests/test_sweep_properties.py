@@ -75,6 +75,26 @@ def sweep_with_live_bound(phi, structure, k):
     return count
 
 
+def sweep_stepping(phi, structure, most):
+    """count_mc_local at the formula's own radius and arity, and the states
+    it steps, in order; fails as soon as the steps yield more than ``most``
+    successors in all, so a sweep that would yield billions fails at once."""
+    stepped, moves = [], itertools.count(1)
+
+    def spy(start, steps, step):
+        def recorded(state):
+            stepped.append(state)
+            for successor in step(state):
+                assert next(moves) <= most, f"more than {most} successors"
+                yield successor
+        return propagate(start, steps, recorded)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "propagate", spy)
+        count = count_mc_local(phi, structure, phi.size, locality_radius(phi), max_arity(phi))
+    return count, stepped
+
+
 @settings(max_examples=300, deadline=None)
 @given(formula_and_structure())
 def test_locality_sweep_matches_brute_force(case):
@@ -108,23 +128,56 @@ def test_sweep_with_decided_states_matches_brute_force(case):
 
 def test_formula_decided_by_its_first_atom_counts_every_assignment():
     # x = x is always true under the or: after it every state is decided true
-    # and absorbed, and each later atom multiplies by |A| per fresh variable.
+    # and leaves the frontier, and each later atom multiplies by |A| per fresh
+    # variable without stepping a state.
     phi = QFFormula(Connective("or", (
         Eq(Var("x"), Var("x")), Atom("E", (Var("x"), Var("y"))), Atom("P", (Var("z"),)))))
     structure = RelationalStructure(VOCAB, 4, {"E": [(0, 1)], "P": []}, {"c": 0})
-    stepped = []
-
-    def spy(start, steps, step):
-        def recorded(state):
-            stepped.append(state)
-            return step(state)
-        return propagate(start, steps, recorded)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep, "propagate", spy)
-        count = count_mc_local(phi, structure, phi.size, locality_radius(phi), 2)
+    count, stepped = sweep_stepping(phi, structure, 4)
     assert count == count_mc(phi, structure, phi.size) == 4 ** 3
-    assert stepped[1:] == [(1, (), True), (2, (), True)]
+    assert stepped[1:] == []
+
+
+@st.composite
+def decided_early(draw):
+    """An or over a tautology or an and over a contradiction, at most one atom
+    before it, on up to 50 elements; True with an or, False with an and."""
+    n = draw(st.integers(1, 50))
+    rng = draw(st.randoms(use_true_random=False))
+    interpretation = {
+        "P": [(rng.randrange(n),) for _ in range(rng.randint(0, n))],
+        "E": [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))],
+    }
+    structure = RelationalStructure(VOCAB, n, interpretation, {"c": rng.randrange(n)})
+    term, is_or = draw(TERMS), draw(st.booleans())
+    decider = Eq(term, term) if is_or else Connective("not", (Eq(term, term),))
+    children = (*draw(st.lists(ATOMS, max_size=1)), decider,
+                *draw(st.lists(NODES, min_size=1, max_size=2)))
+    return QFFormula(Connective("or" if is_or else "and", children)), structure, is_or
+
+
+@settings(max_examples=200, deadline=None)
+@given(decided_early())
+def test_formula_decided_by_an_early_atom_matches_its_closed_form(case):
+    # Every assignment satisfies the or and none the and; the brute-force count
+    # runs too where its |A|^v candidates fit a budget of 10^4.
+    phi, structure, is_or = case
+    assignments = structure.universe_size ** len(phi.free_variables)
+    count = sweep_with_live_bound(phi, structure, phi.size)
+    assert count == (assignments if is_or else 0)
+    if assignments <= 10 ** 4:
+        assert count == count_mc(phi, structure, phi.size, limit=10 ** 4)
+
+
+def test_decided_formula_on_a_thousand_elements_steps_only_its_start():
+    # count_mc refuses |A|^4 = 10^12 assignments; the sweep steps the start
+    # state, whose |A| successors are all decided true by x = x.
+    phi = QFFormula(Connective("or", (
+        Eq(Var("x"), Var("x")), Atom("R", (Var("y"), Var("z"), Var("w"))))))
+    structure = RelationalStructure(Vocabulary((("R", 3),)), 1000, {"R": [(0, 1, 2)]})
+    count, stepped = sweep_stepping(phi, structure, structure.universe_size)
+    assert count == 10 ** 12
+    assert len(stepped) <= structure.universe_size + 1
 
 
 def test_walk_formula_sweep_keeps_at_most_two_variables_live():
