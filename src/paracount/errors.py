@@ -131,8 +131,9 @@ class FrozenMap(dict):
 
     Every mutator raises ``TypeError``; reads, equality and repr are the
     dict's.  Like a dict it has no hash.  ``copy``, ``deepcopy`` and
-    ``pickle`` rebuild it from a plain dict of its items.  ``dict.__setitem__``
-    called on it still writes, as for any dict subclass.
+    ``pickle`` rebuild it from a plain dict of its items.  Calling dict's own
+    methods on it, ``dict.__setitem__(m, k, v)`` or ``m.__init__(other)``,
+    still writes, as for any dict subclass.
     """
 
     __slots__ = ()
