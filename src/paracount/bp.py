@@ -25,7 +25,7 @@ def is_deterministic_given_inputs(p: BranchingProgram) -> bool:
     forces at most one maximal walk (missing edges mean rejection).  A pass
     node has at most one edge, labelled None (``validate_bp``)."""
     return all(len(fanout) == len({bit for _, bit in fanout})
-               for fanout in p.out_edges().values())
+               for fanout in p.out_map.values())
 
 
 def _check_deterministic(p: BranchingProgram) -> None:
@@ -58,7 +58,7 @@ def bp_accepts(p: BranchingProgram, x: Sequence[int], y: Sequence[int]) -> bool:
 
 
 def _accepts(p: BranchingProgram, x: Sequence[int], y: Sequence[int]) -> bool:
-    out = p.out_edges()
+    out = p.out_map
     reachable = {p.source}
     for layer in p.layers:
         for u in layer:
@@ -99,7 +99,7 @@ def bp_count_acc(
 def _relevant_nodes(p: BranchingProgram) -> list[int]:
     """The nodes on some source-sink path, in layer order: one sweep forward
     from the source, one backward from the sink."""
-    out = p.out_edges()
+    out = p.out_map
     order = p.nodes()
     reached = {p.source}
     for u in order:
@@ -119,7 +119,7 @@ def _check_increasing_reads(p: BranchingProgram, code: str) -> dict[int, int]:
     One pass in layer order, linear in the edges.  Refuses with ``code``
     when some source-sink path reads y indices not strictly increasingly.
     """
-    out = p.out_edges()
+    out = p.out_map
     before: dict[int, int] = {}
     upto: dict[int, int] = {}
     for u in _relevant_nodes(p):
@@ -154,7 +154,7 @@ def bp_count_fast(p: BranchingProgram, x: Sequence[int]) -> int:
     _check_widths(p, len(x), p.num_y)
     _check_deterministic(p)
     upto = _check_increasing_reads(p, "precondition-violated")
-    out = p.out_edges()
+    out = p.out_map
     counts = dict.fromkeys(upto, 0)
     counts[p.source] = 2 ** p.num_y
     for u in upto:

@@ -148,10 +148,9 @@ def count_log_reach2_cnf(
     # is kept only if v is in alive[a - i - 1], alive[j] being the vertices
     # with a j-edge walk to t, so every state left after a moves is at t.
     relevant = cnf.variables()
-    choices = _successor_choices(g)
     alive = [{t}]
     for _ in range(a):
-        alive.append({u for u in range(g.n) if any(v in alive[-1] for v, _ in choices[u])})
+        alive.append({u for u in range(g.n) if any(v in alive[-1] for v in g.succ[u])})
     if s not in alive[a]:
         return 0
 
@@ -159,7 +158,7 @@ def count_log_reach2_cnf(
         i, u, used = state
         ahead = alive[a - i - 1]
         return [(i + 1, v, used | {e} if e in relevant else used)
-                for v, e in choices[u] if v in ahead]
+                for v, e in g.out[u] if v in ahead]
 
     states = propagate({(0, s, frozenset()): 1}, a, step)
     total = 0
@@ -168,14 +167,6 @@ def count_log_reach2_cnf(
         if eval_cnf(cnf, assignment):
             total += cnt
     return total
-
-
-def _successor_choices(g: DirectedGraph) -> list[list[tuple[int, int]]]:
-    """Per vertex: (target, edge id) choices sorted by edge id."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        out[u].append((v, eid))
-    return out
 
 
 def __getattr__(name: str):  # a name moved out of this module (`paracount._MOVED`)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import or_
 
-from .cnf import EdgeCNF, _successor_choices, eval_cnf, validate_cnf_for_graph
+from .cnf import EdgeCNF, eval_cnf, validate_cnf_for_graph
 from .errors import DEFAULT_LIMIT, CountingError, check_limit
 from .walks import _check_degree_bound, log_gate_passes
 
@@ -41,16 +41,12 @@ def _cycles(g: DirectedGraph, longest: int, charge) -> list[tuple[int, int, tupl
     not recursion."""
     if longest < 2:
         return []
-    choices = _successor_choices(g)
     preds: list[list[int]] = [[] for _ in range(g.n)]
-    succs: list[list[int]] = [[] for _ in range(g.n)]
-    loopless = [True] * g.n
     for u, v in g.edges:
-        if u == v:
-            loopless[u] = False
-        else:
+        if u != v:
             preds[v].append(u)
-            succs[u].append(v)
+    succs = [[v for v in vs if v != u] for u, vs in enumerate(g.succ)]
+    loopless = [u not in vs for u, vs in enumerate(g.succ)]
     free_in = [len(p) for p in preds]
     free_out = [len(s) for s in succs]
 
@@ -78,7 +74,7 @@ def _cycles(g: DirectedGraph, longest: int, charge) -> list[tuple[int, int, tupl
                         dist[u] = dist[w] + 1
                         queue.append(u)
         on_path = {head}
-        frames = [(head, -1, iter(choices[head]))]
+        frames = [(head, -1, iter(g.out[head]))]
         while frames:
             cur, _, untried = frames[-1]
             for v, eid in untried:
@@ -89,7 +85,7 @@ def _cycles(g: DirectedGraph, longest: int, charge) -> list[tuple[int, int, tupl
                     charge()
                     on_path.add(v)
                     if not fix(cur, v, -1):
-                        frames.append((v, eid, iter(choices[v])))
+                        frames.append((v, eid, iter(g.out[v])))
                         break
                     fix(cur, v, 1)
                     on_path.discard(v)

@@ -2,7 +2,9 @@
 
 Vertices are dense 0-based integers.  Edges are an ordered list of
 ``(source, target)`` pairs; the position of a pair in that list is the
-edge's canonical id, which is what CNF constraints refer to.  All counts
+edge's canonical id, which is what CNF constraints refer to.  A graph
+derives its out-adjacency once, as ``succ`` and ``out``; every counter and
+oracle reads those fields instead of grouping the edges itself.  All counts
 are plain Python ints, so they are exact at any magnitude.
 """
 from __future__ import annotations
@@ -11,37 +13,40 @@ from .errors import CountingError, Record, read_array, read_fields, read_int
 
 
 class DirectedGraph(Record):
-    """Simple digraph (no duplicate arcs; self-loops allowed)."""
+    """Simple digraph (no duplicate arcs; self-loops allowed).
 
-    __slots__ = _fields = ("n", "edges")
+    The out-adjacency is derived once, while the edges are checked: ``out[u]``
+    holds u's ``(successor, edge id)`` pairs in edge-id order, ``succ[u]`` its
+    successors in ascending order.  Equality, hash and repr read only ``n``
+    and ``edges``.
+    """
+
+    _fields = ("n", "edges")
+    __slots__ = (*_fields, "succ", "out")  # the adjacency is derived, not compared
     n: int
     edges: tuple[tuple[int, int], ...]
+    succ: tuple[tuple[int, ...], ...]
+    out: tuple[tuple[tuple[int, int], ...], ...]
 
-    def _check(self):
-        if self.n < 0:
-            raise CountingError("vertex-count-negative", f"n = {self.n}")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        n = self.n
+        if n < 0:
+            raise CountingError("vertex-count-negative", f"n = {n}")
+        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for eid, (u, v) in enumerate(self.edges):
+            if not (0 <= u < n and 0 <= v < n):
                 raise CountingError(
                     "endpoint-out-of-range",
-                    f"edge ({u}, {v}) outside vertex range [0, {self.n})",
+                    f"edge ({u}, {v}) outside vertex range [0, {n})",
                 )
             if (u, v) in seen:
                 raise CountingError("duplicate-edge", f"edge ({u}, {v}) repeated")
             seen.add((u, v))
-
-    def successors(self) -> list[list[int]]:
-        """Adjacency lists, each sorted ascending."""
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            succ[u].append(v)
-        for lst in succ:
-            lst.sort()
-        return succ
-
-    def edge_id(self, u: int, v: int) -> int:
-        return self.edges.index((u, v))
+            out[u].append((v, eid))
+        self._set(out=tuple(map(tuple, out)),
+                  succ=tuple(tuple(sorted(v for v, _ in pairs)) for pairs in out))
 
     def adjacency_matrix(self) -> list[list[int]]:
         mat = [[0] * self.n for _ in range(self.n)]

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .bp import _check_increasing_reads
-from .cnf import _successor_choices
 from .errors import DEFAULT_LIMIT, CountingError, Record, check_limit
 from .pdet import pdet_direct
 from .programs import validate_bp
@@ -78,7 +77,6 @@ def enumerate_walks(
         raise CountingError("negative-length", f"a = {a}")
     check_vertex(g, s, "s")
     check_vertex(g, t, "t")
-    succ = g.successors()
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int) -> None:
@@ -87,7 +85,7 @@ def enumerate_walks(
                 check_limit(len(out) + 1, limit, f"walks of length {a} from {s} to {t}")
                 out.append(tuple(prefix))
             return
-        for v in succ[prefix[-1]]:
+        for v in g.succ[prefix[-1]]:
             prefix.append(v)
             rec(prefix, remaining - 1)
             prefix.pop()
@@ -152,7 +150,7 @@ def _cover_search(g: DirectedGraph, visit, limit: int) -> None:
     choices in edge-id order; ``stack[v]`` is the next choice to try at vertex
     v, so the search depth is bounded by memory, not by the recursion limit.
     """
-    choices = _successor_choices(g)
+    choices = g.out
     succ = [-1] * g.n
     used = [False] * g.n
     reached = 0

@@ -42,10 +42,6 @@ class BranchingProgram(Record):
     def label_of(self, node: int) -> Label:
         return self.label_map.get(node, ("pass",))
 
-    def out_edges(self) -> FrozenMap:
-        """Node -> ((successor, bit), ...), built once and read-only."""
-        return self.out_map
-
     def nodes(self) -> list[int]:
         return [v for layer in self.layers for v in layer]
 
@@ -118,7 +114,7 @@ def validate_bp(
         source,
         sink,
     )
-    for node, fanout in program.out_edges().items():
+    for node, fanout in program.out_map.items():
         if program.label_of(node)[0] == "pass" and len(fanout) > 1:
             raise CountingError(
                 "bad-bit-label", f"pass node {node} has {len(fanout)} outgoing edges"

@@ -312,8 +312,7 @@ def colour_walks(inst: tuple[VertexColouring, int, int, int]) -> int:
 
 
 def walk_edge_ids(g: DirectedGraph, walk: tuple[int, ...]) -> set[int]:
-    ids = {(u, v): i for i, (u, v) in enumerate(g.edges)}
-    return {ids[(walk[i], walk[i + 1])] for i in range(len(walk) - 1)}
+    return {e for u, v in zip(walk, walk[1:]) for w, e in g.out[u] if w == v}
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +450,7 @@ def check_walk_counters(rng: random.Random, scale: Scale) -> list[str]:
             recur = sum(
                 wkm.count_reach(g, s, u, kv - 1)
                 for u in range(g.n)
-                if (u, t) in set(g.edges)
+                if t in g.succ[u]
             )
             if recur != expected:
                 failures.append(f"trial {trial}: count_reach recurrence broken")

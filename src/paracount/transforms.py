@@ -131,10 +131,10 @@ def _has_cycle(g: DirectedGraph) -> bool:
     for _, v in g.edges:
         indegree[v] += 1
     free = [v for v in range(g.n) if indegree[v] == 0]
-    succ, peeled = g.successors(), 0
+    peeled = 0
     while free:
         peeled += 1
-        for v in succ[free.pop()]:
+        for v in g.succ[free.pop()]:
             indegree[v] -= 1
             if indegree[v] == 0:
                 free.append(v)

@@ -58,10 +58,7 @@ def check_vertex(g: DirectedGraph, v: int, name: str) -> None:
 
 def max_out_degree(g: DirectedGraph) -> int:
     """Largest out-degree; 0 for edgeless graphs."""
-    deg = [0] * g.n
-    for u, _ in g.edges:
-        deg[u] += 1
-    return max(deg, default=0)
+    return max(map(len, g.succ), default=0)
 
 
 def _check_degree_bound(g: DirectedGraph, b: int) -> None:
@@ -82,7 +79,7 @@ def count_reach(g: DirectedGraph, s: int, t: int, k: int) -> int:
         raise CountingError("negative-length", f"k = {k}")
     if k == 0:
         return 0
-    return propagate({s: 1}, k - 1, g.successors().__getitem__).get(t, 0)
+    return propagate({s: 1}, k - 1, g.succ.__getitem__).get(t, 0)
 
 
 def count_log_reach_b(
@@ -96,7 +93,7 @@ def count_log_reach_b(
         raise CountingError("negative-length", f"a = {a}")
     if not log_gate_passes(a, k, g.n):
         return 0
-    return propagate({s: 1}, a, g.successors().__getitem__).get(t, 0)
+    return propagate({s: 1}, a, g.succ.__getitem__).get(t, 0)
 
 
 def count_log_walk_b(g: DirectedGraph, a: int, k: int, b: int) -> int:
@@ -107,7 +104,7 @@ def count_log_walk_b(g: DirectedGraph, a: int, k: int, b: int) -> int:
     if not log_gate_passes(a, k, g.n):
         return 0
     start = dict.fromkeys(range(g.n), 1)
-    return sum(propagate(start, a, g.successors().__getitem__).values())
+    return sum(propagate(start, a, g.succ.__getitem__).values())
 
 
 def count_reach_colour(vc: VertexColouring, s: int, t: int, k: int) -> int:
@@ -130,9 +127,7 @@ def count_reach_colour(vc: VertexColouring, s: int, t: int, k: int) -> int:
     if vc.m != k:
         return 0
     # colour(s) = 1, so position i (1-based) lives on colour class i.
-    succ = g.successors()
-
     def step(u: int) -> list[int]:
-        return [v for v in succ[u] if vc.colour_of(v) == vc.colour_of(u) + 1]
+        return [v for v in g.succ[u] if vc.colour_of(v) == vc.colour_of(u) + 1]
 
     return propagate({s: 1}, k - 1, step).get(t, 0)

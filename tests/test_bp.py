@@ -77,6 +77,23 @@ def test_validate_refuses_numbers_that_are_not_ints(layers, labels, edges, sourc
     assert err.value.code == "not-an-integer"
 
 
+@pytest.mark.parametrize("layers, labels, edges, num_y, sink, code, message", [
+    ([[0], [1, 0]], {}, [], 0, 1, "not-layered", "a node appears in two layers"),
+    ([[0], [1], [2]], {}, [(0, 1, None)], 0, 1,
+     "source-sink-misplaced", "sink must sit in the last layer"),
+    ([[0], [1]], {5: ("x", 1)}, [], 0, 1, "not-layered", "label for unknown node 5"),
+    ([[0], [1]], {0: ("y", 2)}, [], 1, 1, "label-out-of-range", "y_2 with numY = 1"),
+    ([[0], [1]], {}, [(0, 7, None)], 0, 1, "not-layered", "edge (0, 7) off the node set"),
+    ([[0], [1, 2]], {}, [(0, 1, None), (0, 2, None)], 0, 1,
+     "bad-bit-label", "pass node 0 has 2 outgoing edges"),
+], ids=["node-in-two-layers", "sink-off-last-layer", "label-for-unknown-node",
+        "y-past-numY", "edge-off-node-set", "pass-node-fans-out"])
+def test_validate_refusals(layers, labels, edges, num_y, sink, code, message):
+    with pytest.raises(CountingError) as err:
+        validate_bp(layers, labels, edges, 1, num_y, 0, sink)
+    assert (err.value.code, err.value.message) == (code, message)
+
+
 def test_accepts_x_tester():
     p = simple_x_tester()
     assert bp_accepts(p, [1], [])
@@ -380,7 +397,7 @@ def random_layered_program(rng, banded):
 def y_reads_per_path(p):
     """The y indices read along each source-to-sink path, by brute force; the
     sink's label is not a read, since acceptance only asks that it be reached."""
-    out = p.out_edges()
+    out = p.out_map
 
     def walk(node, reads):
         label = p.label_of(node)
@@ -433,7 +450,7 @@ def test_read_order_checks_match_path_enumeration():
 
 def source_sink_edges(p):
     """The edges on some source-to-sink path, by brute-force path enumeration."""
-    out = p.out_edges()
+    out = p.out_map
     kept = set()
 
     def walk(node, path):

@@ -90,6 +90,19 @@ def test_missing_cnf_file_is_domain_error(tmp_path, capsys):
         assert err.startswith("error: file-not-found")
 
 
+def test_a_directory_for_a_file_is_an_io_error(tmp_path, capsys):
+    code, out, err = run(capsys, "reach", "--graph", str(tmp_path), "--k", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: io-error: [Errno 21] Is a directory")
+
+
+def test_a_negative_k_goes_through_argparse_and_is_refused(tmp_path, capsys):
+    argv = ["reach", "--graph", write(tmp_path, "g.json", DIAMOND), "--k", "-1"]
+    assert cli._direct(argv) is None  # a value starting with "-" is not canonical
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: negative-length: k = -1\n")
+
+
 def test_usage_error_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reach"])  # --graph and --k missing

@@ -79,6 +79,10 @@ def test_dimacs_parse():
     assert phi.size() == 2 + 4
 
 
+def test_dimacs_last_clause_may_omit_its_terminating_zero():
+    assert parse_dimacs("p cnf 2 1\n1 -2\n").clauses == (((0, True), (1, False)),)
+
+
 def test_dimacs_percent_line_ends_the_input():
     # SATLIB files end with "%" and a stray "0", which is no empty clause.
     want = EdgeCNF.from_dimacs_literals([[1, -2]])
@@ -120,7 +124,8 @@ def test_reach2cnf_empty_cnf_equals_unconstrained():
 
 def test_reach2cnf_diamond_negated_edge():
     # Forbid edge (0,1): of the two 2-edge walks only (0,2,3) survives.
-    e = DIAMOND.edge_id(0, 1)
+    e = dict(DIAMOND.out[0])[1]
+    assert e == 0
     phi = EdgeCNF.from_dimacs_literals([[-(e + 1)]])
     assert count_log_reach2_cnf(DIAMOND, 0, 3, phi, 2, 1) == 1
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paracount.errors import CountingError, LimitExceeded
 from paracount.graphs import (
@@ -62,8 +64,31 @@ def test_validate_rejects_duplicate_edge():
 
 
 def test_edge_ids_follow_list_order():
-    assert DIAMOND.edge_id(0, 2) == 1
-    assert DIAMOND.edge_id(2, 3) == 3
+    assert DIAMOND.out[0] == ((1, 0), (2, 1))
+    assert DIAMOND.out[2] == ((3, 3),)
+    # Listed out of target order: `out` keeps the ids, `succ` sorts the targets.
+    g = validate_graph(3, [(0, 2), (0, 1), (1, 2)])
+    assert g.out == (((2, 0), (1, 1)), ((2, 2),), ())
+    assert g.succ == ((1, 2), (2,), ())
+
+
+@st.composite
+def graphs(draw):
+    """A simple digraph on up to 6 vertices, its edges in a random order."""
+    n = draw(st.integers(0, 6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    return DirectedGraph(n, tuple(draw(st.lists(pairs, unique=True))))
+
+
+@given(graphs())
+def test_adjacency_is_derived_from_the_edges(g):
+    assert len(g.succ) == len(g.out) == g.n
+    assert sum(map(len, g.out)) == len(g.edges)
+    for u in range(g.n):
+        assert g.succ[u] == tuple(sorted(v for x, v in g.edges if x == u))
+        ids = [e for _, e in g.out[u]]
+        assert ids == sorted(set(ids))
+        assert all(g.edges[e] == (u, v) for v, e in g.out[u])
 
 
 def test_max_out_degree():

@@ -52,6 +52,17 @@ def test_is_homomorphism_into_empty_relations():
     assert not is_homomorphism({0: 0, 1: 1}, a, b)
 
 
+def test_is_homomorphism_refuses_other_vocabularies_and_partial_maps():
+    a, b = make_path_star(2).structure, make_path_star(3).structure
+    with pytest.raises(CountingError) as err:
+        is_homomorphism({0: 0, 1: 1}, a, b)
+    assert err.value.code == "vocabulary-mismatch"
+    with pytest.raises(CountingError) as err:
+        is_homomorphism({0: 0}, a, a)
+    assert (err.value.code, err.value.message) == (
+        "unassigned-variable", "map undefined on element 1")
+
+
 def test_constant_map_on_edgeless_pattern():
     vocab = Vocabulary((("E", 2),))
     a = RelationalStructure(vocab, 3, {})

@@ -42,7 +42,7 @@ def test_equal_records_hash_equal_and_serve_as_set_and_dict_keys():
 
 def test_derived_program_maps_stay_out_of_equality_and_hash():
     p, q = program(), program()
-    assert p == q and hash(p) == hash(q) and p.out_edges() == q.out_edges()
+    assert p == q and hash(p) == hash(q) and p.out_map == q.out_map
     assert program(edge_order=-1) != p  # edges are a field, their order part of it
 
 
@@ -94,11 +94,26 @@ def test_keyword_construction_defaults_and_checks():
 
 def test_records_copy_and_pickle_with_their_derived_slots():
     colouring = VertexColouring(DirectedGraph(2, ((0, 1),)), (1, 2))
-    for record in (colouring, program(), Var("x")):
+    graph = DirectedGraph(3, ((0, 2), (0, 1), (1, 2)))
+    for record in (colouring, program(), Var("x"), graph):
         for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert twin == record and repr(twin) == repr(record)
     assert copy.deepcopy(colouring).m == 2
-    assert pickle.loads(pickle.dumps(program())).out_edges() == program().out_edges()
+    assert pickle.loads(pickle.dumps(program())).out_map == program().out_map
+    for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert (twin.succ, twin.out) == (graph.succ, graph.out)
+
+
+def test_graph_adjacency_is_tuples_left_out_of_equality_and_hash():
+    g = DirectedGraph(3, ((0, 2), (0, 1), (1, 2)))
+    for adjacency in (g.succ, g.out):
+        assert type(adjacency) is tuple and all(type(row) is tuple for row in adjacency)
+        with pytest.raises(TypeError):
+            adjacency[0] = ()
+    twin = copy.copy(g)
+    object.__setattr__(twin, "succ", ())  # past the record's guard
+    object.__setattr__(twin, "out", ())
+    assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
 
 
 def structure():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from paracount.cnf import EdgeCNF, count_log_reach2_cnf
+from paracount.covers import count_cycle_cover2_cnf
 from paracount.errors import CountingError
 from paracount.graphs import DirectedGraph, VertexColouring, validate_graph
 from paracount.oracles import enumerate_walks, walk_count_matrix
@@ -235,3 +237,20 @@ def test_count_reach_colour_matches_filtered_enumeration():
         for w in enumerate_walks(g, s, t, m - 1):
             if all(vc.colour_of(v) == i + 1 for i, v in enumerate(w)):
                 assert len(set(w)) == len(w)
+
+
+@pytest.mark.parametrize("count, message", [
+    (lambda: count_reach(DIAMOND, 0, 3, -1), "k = -1"),
+    (lambda: count_log_reach_b(DIAMOND, 0, 3, -1, 1, 2), "a = -1"),
+    (lambda: count_log_walk_b(DIAMOND, -1, 1, 2), "a = -1"),
+    (lambda: count_reach_colour(VertexColouring(DIAMOND, (1, 2, 2, 3)), 0, 3, -1), "k = -1"),
+    (lambda: count_log_reach2_cnf(DIAMOND, 0, 3, EdgeCNF.empty(), -1, 1), "a = -1"),
+    (lambda: count_cycle_cover2_cnf(DIAMOND, EdgeCNF.empty(), -1, 1), "a = -1, k = 1"),
+    (lambda: walk_count_matrix(DIAMOND, -1), "a = -1"),
+    (lambda: enumerate_walks(DIAMOND, 0, 3, -1), "a = -1"),
+], ids=["reach", "logreach", "logwalk", "reachcolour", "reach2cnf", "cyclecover2cnf",
+        "walk_count_matrix", "enumerate_walks"])
+def test_a_negative_length_is_refused(count, message):
+    with pytest.raises(CountingError) as err:
+        count()
+    assert (err.value.code, err.value.message) == ("negative-length", message)
